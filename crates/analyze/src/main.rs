@@ -34,10 +34,21 @@
 use std::process::ExitCode;
 
 use svckit_analyze::{
-    all_targets, fixtures, scale_floor_targets, AnalysisReport, Reduction, ServicePassOptions,
-    Symmetry,
+    all_targets, fixtures, scale_floor_targets, AnalysisReport, Backend, Engine, Reduction,
+    ServicePassOptions, Symmetry,
 };
 use svckit_sweep::{flag_usize, flag_value};
+
+/// Parses `--engine dfa|interp`; the compiled DFA tables when absent.
+fn engine_flag(args: &[String]) -> Result<Engine, String> {
+    flag_value(args, "engine").map_or(Ok(Engine::default()), |v| v.parse())
+}
+
+/// Parses `--backend explicit|symbolic`; the explicit breadth-first
+/// search when absent.
+fn backend_flag(args: &[String]) -> Result<Backend, String> {
+    flag_value(args, "backend").map_or(Ok(Backend::default()), |v| v.parse())
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,12 +69,19 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let (engine, backend) = match (engine_flag(&args), backend_flag(&args)) {
+        (Ok(engine), Ok(backend)) => (engine, backend),
+        (Err(err), _) | (_, Err(err)) => {
+            eprintln!("{err}");
+            return ExitCode::FAILURE;
+        }
+    };
     let options = ServicePassOptions {
         reduction,
         symmetry,
         max_states: flag_usize(&args, "max-states", 200_000),
-        engine: svckit_sweep::engine_flag(&args).unwrap_or_default(),
-        backend: svckit_sweep::backend_flag(&args).unwrap_or_default(),
+        engine,
+        backend,
         ..ServicePassOptions::default()
     };
 

@@ -17,12 +17,35 @@ use svckit::model::Duration;
 use svckit::netsim::LinkConfig;
 use svckit_bench::{fmt_f, print_header, print_row};
 use svckit_sweep::{
-    backend_flag, default_threads, engine_flag, flag_usize, flag_value, obs_flags,
-    queue_backend_flag, run_sweep, shards_flag, symmetry_flag, trace_flags, verbosity, SweepSpec,
+    check_flags, default_threads, flag_usize, flag_value, obs_flags, run_sweep, shards_flag,
+    trace_flags, verbosity, SweepSpec,
 };
+
+/// Flags that take a value.
+const VALUED: [&str; 8] = [
+    "--threads",
+    "--out",
+    "--filter",
+    "--shards",
+    "--obs-out",
+    "--obs-format",
+    "--trace-out",
+    "--trace-summary",
+];
+/// Flags that stand alone.
+const SWITCHES: [&str; 3] = ["--quiet", "-v", "--verbose"];
+
+const USAGE: &str =
+    "usage: exp_fig4_middleware [--threads N] [--out PATH] [--filter GROUP] [--shards N]
+       [--obs-out PATH] [--obs-format jsonl|chrome]
+       [--trace-out PATH] [--trace-summary PATH] [--quiet | -v | --verbose]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(err) = check_flags(&args, &VALUED, &SWITCHES) {
+        eprintln!("error: {err}\n\n{USAGE}");
+        std::process::exit(2);
+    }
     let threads = flag_usize(&args, "threads", default_threads());
     let out = flag_value(&args, "out").unwrap_or_else(|| "SWEEP_fig4_middleware.json".to_owned());
 
@@ -46,11 +69,6 @@ fn main() {
     if let Some(needle) = flag_value(&args, "filter") {
         spec = spec.filter(needle);
     }
-    if let Some(backend) = queue_backend_flag(&args) {
-        // Either backend must produce byte-identical sweep JSON; CI runs
-        // the smoke sweep under both and `cmp`s the outputs.
-        spec = spec.queue_backend(backend);
-    }
     if let Some(shards) = shards_flag(&args) {
         // Sweep JSON is byte-identical across shard counts >= 2: link
         // randomness is per-pair, so partitioning cannot change it. The
@@ -58,25 +76,6 @@ fn main() {
         // valid) sample than the single-threaded engine's global stream;
         // CI cmp's --shards 2 against --shards 4.
         spec = spec.shards(shards);
-    }
-    if let Some(engine) = engine_flag(&args) {
-        // The admission gate is passive, so both engines produce
-        // byte-identical sweep JSON; CI cmp's --engine interp against the
-        // default dfa run.
-        spec = spec.engine(engine);
-    }
-    if let Some(symmetry) = symmetry_flag(&args) {
-        // The simulation never explores state spaces, so sweep JSON is
-        // byte-identical across symmetry settings too; CI cmp's
-        // --symmetry off against the default on run.
-        spec = spec.symmetry(symmetry);
-    }
-    if let Some(backend) = backend_flag(&args) {
-        // Same argument once more: the exploration backend only matters
-        // under --verify-style model checks, so sweep JSON stays
-        // byte-identical under --backend symbolic; CI cmp's it against
-        // the default explicit run.
-        spec = spec.backend(backend);
     }
     let report = run_sweep(&spec, threads);
 
@@ -248,9 +247,6 @@ fn main() {
             );
         if let Some(shards) = shards_flag(&args) {
             trace_spec = trace_spec.shards(shards);
-        }
-        if let Some(backend) = queue_backend_flag(&args) {
-            trace_spec = trace_spec.queue_backend(backend);
         }
         let trace_report = run_sweep(&trace_spec, threads);
         for r in &trace_report.results {

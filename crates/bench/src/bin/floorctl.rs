@@ -13,9 +13,12 @@
 //! `--verify` model-checks the floor-control service over this run's
 //! universe *before* simulating: the product space of the configured
 //! subscriber/resource counts is explored (deadlocks, livelocks) with the
-//! symmetry quotient controlled by `--symmetry on|off`. With the quotient
-//! on (the default), verification of large subscriber counts stays cheap —
-//! the per-user explosion collapses to orbit counting.
+//! symmetry quotient controlled by `--symmetry on|off` and the state
+//! representation by `--backend explicit|symbolic`. With the quotient on
+//! (the default), verification of large subscriber counts stays cheap —
+//! the per-user explosion collapses to orbit counting. Both settings
+//! belong to `--verify` alone (the simulation never explores), so giving
+//! either without `--verify` is a usage error.
 
 use std::process::ExitCode;
 
@@ -23,6 +26,7 @@ use svckit::floorctl::{
     floor_control_service, floor_event_universe, run_solution, RunParams, Solution,
 };
 use svckit::lts::explorer::{ExploreOptions, ServiceExplorer};
+use svckit::lts::{Backend, Symmetry};
 use svckit::model::conformance::{check_trace, CheckOptions};
 use svckit::model::Duration;
 use svckit::netsim::LinkConfig;
@@ -32,7 +36,14 @@ struct Options {
     params: RunParams,
     show_trace: bool,
     show_check: bool,
-    verify: bool,
+    verify: Option<Verify>,
+}
+
+/// Settings of the `--verify` pre-run model check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Verify {
+    symmetry: Symmetry,
+    backend: Backend,
 }
 
 fn usage() -> String {
@@ -95,6 +106,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut show_trace = false;
     let mut show_check = false;
     let mut verify = false;
+    let mut symmetry = None;
+    let mut backend = None;
 
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
@@ -156,18 +169,24 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 )
             }
             "--link" => params = params.link(parse_link(&value("--link")?)?),
-            "--symmetry" => {
-                params = params.symmetry(value("--symmetry")?.parse()?);
-            }
-            "--backend" => {
-                params = params.backend(value("--backend")?.parse()?);
-            }
+            "--symmetry" => symmetry = Some(value("--symmetry")?.parse()?),
+            "--backend" => backend = Some(value("--backend")?.parse()?),
             "--trace" => show_trace = true,
             "--check" => show_check = true,
             "--verify" => verify = true,
             other => return Err(format!("unknown option `{other}`")),
         }
     }
+    let verify = if verify {
+        Some(Verify {
+            symmetry: symmetry.unwrap_or(Symmetry::On),
+            backend: backend.unwrap_or_default(),
+        })
+    } else if symmetry.is_some() || backend.is_some() {
+        return Err("--symmetry and --backend only apply with --verify".to_owned());
+    } else {
+        None
+    };
     Ok(Some(Options {
         solution,
         params,
@@ -178,25 +197,22 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
 }
 
 /// The `--verify` pre-run model check: explore the floor-control product
-/// space over this run's universe, with the symmetry quotient per
-/// [`RunParams::symmetry`]. Returns `false` when the service misbehaves
-/// over the configured universe (which would make simulating it pointless).
-fn verify_run(params: &RunParams) -> bool {
+/// space over this run's universe, with the symmetry quotient and backend
+/// of `verify`. Returns `false` when the service misbehaves over the
+/// configured universe (which would make simulating it pointless).
+fn verify_run(params: &RunParams, verify: Verify) -> bool {
     let service = floor_control_service();
     let universe = floor_event_universe(params.subscriber_count(), params.resource_count());
-    let explorer = ServiceExplorer::with_engine(&service, universe, 2, params.engine_value());
+    let explorer = ServiceExplorer::new(&service, universe, 2);
     let report = explorer.explore(&ExploreOptions {
         progress: vec!["granted".to_owned(), "free".to_owned()],
-        symmetry: params.symmetry_value(),
-        backend: params.backend_value(),
+        symmetry: verify.symmetry,
+        backend: verify.backend,
         ..ExploreOptions::default()
     });
     println!(
         "model check:  {} state(s), {} transition(s) [symmetry {}, {} concrete state(s) saved]",
-        report.states,
-        report.transitions,
-        params.symmetry_value(),
-        report.sym_states_saved,
+        report.states, report.transitions, verify.symmetry, report.sym_states_saved,
     );
     if report.peak_nodes > 0 {
         println!(
@@ -234,8 +250,10 @@ fn main() -> ExitCode {
         }
     };
 
-    if options.verify && !verify_run(&options.params) {
-        return ExitCode::FAILURE;
+    if let Some(verify) = options.verify {
+        if !verify_run(&options.params, verify) {
+            return ExitCode::FAILURE;
+        }
     }
 
     let outcome = run_solution(options.solution, &options.params);
@@ -298,5 +316,50 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(list: &[&str]) -> Result<Option<Options>, String> {
+        let args: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn verify_settings_default_to_the_quotient_on_the_explicit_backend() {
+        let options = parse(&["--verify"]).unwrap().unwrap();
+        assert_eq!(
+            options.verify,
+            Some(Verify {
+                symmetry: Symmetry::On,
+                backend: Backend::Explicit,
+            })
+        );
+        let options = parse(&["--symmetry", "off", "--backend", "symbolic", "--verify"])
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            options.verify,
+            Some(Verify {
+                symmetry: Symmetry::Off,
+                backend: Backend::Symbolic,
+            })
+        );
+        assert_eq!(parse(&[]).unwrap().unwrap().verify, None);
+    }
+
+    #[test]
+    fn verify_settings_without_verify_are_rejected() {
+        for list in [
+            &["--symmetry", "off"][..],
+            &["--backend", "symbolic"][..],
+            &["--backend", "explicit", "--symmetry", "on"][..],
+        ] {
+            let err = parse(list).err().expect("needs --verify");
+            assert!(err.contains("--verify"), "{err}");
+        }
     }
 }

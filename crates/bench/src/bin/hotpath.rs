@@ -27,11 +27,10 @@
 use std::time::Instant as WallInstant;
 
 use svckit::floorctl::{
-    floor_control_service, floor_event_universe, run_solution, AdmissionGate, Engine, RunParams,
-    Solution,
+    floor_control_service, floor_event_universe, run_solution, AdmissionGate, RunParams, Solution,
 };
 use svckit::lts::explorer::{ExploreOptions, Reduction, ServiceExplorer};
-use svckit::lts::{Backend, Symmetry};
+use svckit::lts::{Backend, Engine, Symmetry};
 use svckit::model::{Duration, PartId};
 use svckit::netsim::{Context, LinkConfig, Process, QueueBackend, SimConfig, Simulator, TimerId};
 use svckit::obs::with_recorder;

@@ -115,7 +115,6 @@ fn run_scale_mode(args: &[String], clients: u64) -> ! {
         rounds: flag_usize(args, "rounds", 2) as u32,
         shards: flag_usize(args, "shards", 1) as u32,
         seed: flag_usize(args, "seed", 42) as u64,
-        ..ScaleConfig::default()
     };
     println!(
         "scale soak: {} clients x {} rounds over {} servers, {} shard(s)",

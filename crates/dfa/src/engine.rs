@@ -8,9 +8,10 @@ use std::str::FromStr;
 ///
 /// Both engines are observationally identical (verdicts, first-violation
 /// choice, rendered messages); the interpreter is kept as the reference
-/// oracle, the DFA tables are the fast path and the default. The knob is
-/// threaded through `RunParams`, `SweepSpec` and the `--engine` CLI flags
-/// exactly like the 0.6.0 `QueueBackend` dual-backend switch.
+/// oracle, the DFA tables are the fast path and the default. Middleware
+/// deployments always install the DFA gate; the knob is set per explorer
+/// or analyzer pass (`svckit-analyze --engine`), and the oracle tests pin
+/// the interpreter against it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// Interpreted per-constraint stepping with memoized verdict caches

@@ -229,9 +229,8 @@ pub fn deploy_with_policy(params: &RunParams, policy: GrantPolicy) -> MwSystem {
     let plan = plan.build().expect("callback plan is well-formed");
 
     let mut builder = MwSystemBuilder::new(plan)
-        .admission(super::admission_gate(params))
+        .admission(super::admission_gate())
         .seed(params.seed_value())
-        .queue_backend(params.queue())
         .shards(params.shard_count())
         .link(params.link_config().clone())
         .component(

@@ -14,18 +14,17 @@ pub mod token;
 
 use std::sync::{Arc, OnceLock};
 
-use svckit_middleware::{AdmissionGate, Compiled, ADMISSION_BOUND};
+use svckit_middleware::{AdmissionGate, Compiled, Engine, ADMISSION_BOUND};
 use svckit_model::PartId;
 
-use crate::params::RunParams;
 use crate::service::floor_control_service;
 
 /// The admission gate every middleware deployment installs: the
 /// floor-control service compiled once per *process* (the tables are
 /// stateless templates), with a fresh gate per deployment driven by the
-/// engine selected in [`RunParams::engine`]. Passive — it counts
-/// violations against the service definition without perturbing the run.
-pub(crate) fn admission_gate(params: &RunParams) -> Arc<AdmissionGate> {
+/// compiled DFA tables. Passive — it counts violations against the
+/// service definition without perturbing the run.
+pub(crate) fn admission_gate() -> Arc<AdmissionGate> {
     static FLOOR_COMPILED: OnceLock<Arc<Compiled>> = OnceLock::new();
     let compiled = FLOOR_COMPILED.get_or_init(|| {
         Arc::new(
@@ -35,7 +34,7 @@ pub(crate) fn admission_gate(params: &RunParams) -> Arc<AdmissionGate> {
     });
     Arc::new(AdmissionGate::with_compiled(
         Arc::clone(compiled),
-        params.engine_value(),
+        Engine::Dfa,
     ))
 }
 
@@ -76,28 +75,16 @@ mod tests {
 
     #[test]
     fn deployments_validate_their_whole_workload_through_the_gate() {
-        use svckit_middleware::Engine;
         let params = crate::RunParams::default()
             .subscribers(3)
             .resources(1)
             .rounds(2);
-        let mut baseline = None;
-        for engine in [Engine::Dfa, Engine::Interp] {
-            let params = params.clone().engine(engine);
-            let mut system = super::callback::deploy(&params);
-            let report = system.run_to_quiescence(params.cap()).unwrap();
-            let stats = system.admission_stats().expect("deploy installs a gate");
-            // Every recorded primitive went through the gate, and a
-            // conformant workload is never rejected.
-            assert_eq!(stats.checked, report.trace().len() as u64, "{engine}");
-            assert_eq!(stats.rejected, 0, "{engine}");
-            // The passive gate leaves the trace byte-identical across
-            // engines (and hence identical to no gate at all).
-            let trace = format!("{:?}", report.trace());
-            match &baseline {
-                None => baseline = Some(trace),
-                Some(b) => assert_eq!(&trace, b, "engines must not perturb the run"),
-            }
-        }
+        let mut system = super::callback::deploy(&params);
+        let report = system.run_to_quiescence(params.cap()).unwrap();
+        let stats = system.admission_stats().expect("deploy installs a gate");
+        // Every recorded primitive went through the gate, and a
+        // conformant workload is never rejected.
+        assert_eq!(stats.checked, report.trace().len() as u64);
+        assert_eq!(stats.rejected, 0);
     }
 }

@@ -216,9 +216,8 @@ pub fn deploy(params: &RunParams) -> MwSystem {
     let plan = plan.build().expect("polling plan is well-formed");
 
     let mut builder = MwSystemBuilder::new(plan)
-        .admission(super::admission_gate(params))
+        .admission(super::admission_gate())
         .seed(params.seed_value())
-        .queue_backend(params.queue())
         .shards(params.shard_count())
         .link(params.link_config().clone())
         .component(CONTROLLER, Box::new(PollingController::new()));

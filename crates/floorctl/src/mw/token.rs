@@ -227,9 +227,8 @@ pub fn deploy_with_style(params: &RunParams, style: PassStyle, caps: PlatformCap
     let plan = plan.build().expect("token plan is well-formed");
 
     let mut builder = MwSystemBuilder::new(plan)
-        .admission(super::admission_gate(params))
+        .admission(super::admission_gate())
         .seed(params.seed_value())
-        .queue_backend(params.queue())
         .shards(params.shard_count())
         .link(params.link_config().clone());
     for k in 1..=params.subscriber_count() {

@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use svckit_lts::{Backend, Symmetry};
-use svckit_middleware::Engine;
 use svckit_model::Duration;
-use svckit_netsim::{LinkConfig, QueueBackend};
+use svckit_netsim::LinkConfig;
 
 /// The six floor-control solutions of Figures 4 and 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -93,11 +91,7 @@ pub struct RunParams {
     link: LinkConfig,
     seed: u64,
     time_cap: Duration,
-    queue: QueueBackend,
     shards: u32,
-    engine: Engine,
-    symmetry: Symmetry,
-    backend: Backend,
 }
 
 impl Default for RunParams {
@@ -114,11 +108,7 @@ impl Default for RunParams {
             link: LinkConfig::lan(),
             seed: 42,
             time_cap: Duration::from_secs(60),
-            queue: QueueBackend::default(),
             shards: 1,
-            engine: Engine::default(),
-            symmetry: Symmetry::On,
-            backend: Backend::default(),
         }
     }
 }
@@ -188,15 +178,6 @@ impl RunParams {
         self
     }
 
-    /// Selects the simulator event-queue backend (builder-style). The
-    /// default timer wheel and the reference heap produce identical runs;
-    /// switching is only useful for differential testing.
-    #[must_use]
-    pub fn queue_backend(mut self, backend: QueueBackend) -> Self {
-        self.queue = backend;
-        self
-    }
-
     /// Sets the simulator shard count (builder-style). `1` (the default)
     /// runs the sequential engine; `N ≥ 2` partitions the nodes over `N`
     /// lookahead-synchronized shards. On deterministic links the outcome
@@ -204,43 +185,6 @@ impl RunParams {
     #[must_use]
     pub fn shards(mut self, shards: u32) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Selects the constraint-evaluation engine of the admission gate the
-    /// middleware deployments install (builder-style). Both engines make
-    /// identical decisions — the gate is passive either way — so sweep
-    /// output is byte-identical across engines; switching is only useful
-    /// for differential testing and benchmarking.
-    #[must_use]
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Selects whether model-checking passes over this run's universe
-    /// (the floorctl CLI's `--verify` pre-run check, analyzer reruns)
-    /// quotient states by the user-permutation symmetry (builder-style).
-    /// The simulation itself never explores, so sweep output is
-    /// byte-identical across settings — the knob only bounds what a
-    /// verification of the configured subscriber count costs. Defaults to
-    /// [`Symmetry::On`]: verification wants the quotient.
-    #[must_use]
-    pub fn symmetry(mut self, symmetry: Symmetry) -> Self {
-        self.symmetry = symmetry;
-        self
-    }
-
-    /// Selects the reachability backend of model-checking passes over
-    /// this run's universe (builder-style): explicit breadth-first search
-    /// or symbolic LDD fixpoints. Like [`RunParams::symmetry`], the
-    /// simulation itself never explores — the knob only changes how the
-    /// `--verify` pre-run check represents the state space, and both
-    /// backends report identical verdicts. Defaults to
-    /// [`Backend::Explicit`].
-    #[must_use]
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -289,27 +233,6 @@ impl RunParams {
         self.shards
     }
 
-    /// Event-queue backend.
-    pub fn queue(&self) -> QueueBackend {
-        self.queue
-    }
-
-    /// Constraint-evaluation engine for the admission gate.
-    pub fn engine_value(&self) -> Engine {
-        self.engine
-    }
-
-    /// Symmetry setting for model-checking passes over this run's universe.
-    pub fn symmetry_value(&self) -> Symmetry {
-        self.symmetry
-    }
-
-    /// Reachability backend for model-checking passes over this run's
-    /// universe.
-    pub fn backend_value(&self) -> Backend {
-        self.backend
-    }
-
     /// Simulated-time cap.
     pub fn cap(&self) -> Duration {
         self.time_cap
@@ -336,20 +259,6 @@ mod tests {
     fn expected_grants_is_product() {
         let p = RunParams::default().subscribers(3).rounds(7);
         assert_eq!(p.expected_grants(), 21);
-    }
-
-    #[test]
-    fn symmetry_defaults_on_and_round_trips() {
-        assert_eq!(RunParams::default().symmetry_value(), Symmetry::On);
-        let p = RunParams::default().symmetry(Symmetry::Off);
-        assert_eq!(p.symmetry_value(), Symmetry::Off);
-    }
-
-    #[test]
-    fn backend_defaults_explicit_and_round_trips() {
-        assert_eq!(RunParams::default().backend_value(), Backend::Explicit);
-        let p = RunParams::default().backend(Backend::Symbolic);
-        assert_eq!(p.backend_value(), Backend::Symbolic);
     }
 
     #[test]

@@ -537,17 +537,6 @@ pub fn flag_usize(args: &[String], name: &str, default: usize) -> usize {
     }
 }
 
-/// Parses the shared `--queue-backend` flag (`wheel` | `heap`); `None`
-/// when absent, leaving each spec/variation to its own default.
-///
-/// # Panics
-///
-/// Panics (with a usage message) on an unknown backend name.
-pub fn queue_backend_flag(args: &[String]) -> Option<svckit::netsim::QueueBackend> {
-    let value = flag_value(args, "queue-backend")?;
-    Some(value.parse().unwrap_or_else(|e| panic!("{e}")))
-}
-
 /// Parses the shared `--shards N` flag; `None` when absent, leaving each
 /// spec/variation to its own default (the sequential engine).
 ///
@@ -563,39 +552,28 @@ pub fn shards_flag(args: &[String]) -> Option<u32> {
     Some(shards)
 }
 
-/// Parses the shared `--engine` flag (`dfa` | `interp`); `None` when
-/// absent, leaving each spec/variation to its own default (the compiled
-/// DFA tables).
+/// Checks that every argument is a flag the binary knows: one of the
+/// `valued` flags followed by its value, or one of the `switches`. Flags
+/// are spelled out in full (`"--threads"`, `"-v"`). Returns a usage error
+/// naming the first argument that is neither, so a stale or misspelled
+/// flag fails loudly instead of being ignored by [`flag_value`].
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics (with a usage message) on an unknown engine name.
-pub fn engine_flag(args: &[String]) -> Option<svckit::floorctl::Engine> {
-    let value = flag_value(args, "engine")?;
-    Some(value.parse().unwrap_or_else(|e| panic!("{e}")))
-}
-
-/// Parses the shared `--symmetry` flag (`on` | `off`); `None` when absent,
-/// leaving each consumer to its own default.
-///
-/// # Panics
-///
-/// Panics (with a usage message) on an unknown setting.
-pub fn symmetry_flag(args: &[String]) -> Option<svckit::lts::Symmetry> {
-    let value = flag_value(args, "symmetry")?;
-    Some(value.parse().unwrap_or_else(|e| panic!("{e}")))
-}
-
-/// Parses the shared `--backend` flag (`explicit` | `symbolic`); `None`
-/// when absent, leaving each consumer to its own default (the explicit
-/// breadth-first search).
-///
-/// # Panics
-///
-/// Panics (with a usage message) on an unknown backend name.
-pub fn backend_flag(args: &[String]) -> Option<svckit::lts::Backend> {
-    let value = flag_value(args, "backend")?;
-    Some(value.parse().unwrap_or_else(|e| panic!("{e}")))
+/// Returns the usage error when an argument is unknown or a valued flag
+/// is missing its value.
+pub fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        if valued.contains(&arg.as_str()) {
+            if iter.next().is_none() {
+                return Err(format!("{arg} needs a value"));
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(format!("unknown argument `{arg}`"));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -621,6 +599,30 @@ mod tests {
         assert_eq!(flag_usize(&args, "threads", 1), 4);
         assert_eq!(flag_usize(&args, "seeds", 8), 8);
         assert_eq!(flag_value(&args, "missing"), None);
+    }
+
+    #[test]
+    fn check_flags_rejects_unknown_arguments() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let valued = ["--out", "--threads"];
+        let switches = ["--quiet", "-v"];
+        let check = |list: &[&str]| check_flags(&args(list), &valued, &switches);
+        assert_eq!(check(&[]), Ok(()));
+        assert_eq!(check(&["--out", "x.json", "-v", "--threads", "4"]), Ok(()));
+        // A value is consumed with its flag, even one that looks like a flag.
+        assert_eq!(check(&["--out", "--quiet"]), Ok(()));
+        assert_eq!(
+            check(&["--threads", "1", "--engine", "interp"]),
+            Err("unknown argument `--engine`".to_owned())
+        );
+        assert_eq!(
+            check(&["--quiet", "stray"]),
+            Err("unknown argument `stray`".to_owned())
+        );
+        assert_eq!(
+            check(&["--threads"]),
+            Err("--threads needs a value".to_owned())
+        );
     }
 
     #[test]

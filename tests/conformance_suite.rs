@@ -11,7 +11,6 @@ use svckit::lts::explorer::{AbstractEvent, ServiceExplorer};
 use svckit::lts::LtsBuilder;
 use svckit::model::conformance::{check_trace, CheckOptions};
 use svckit::model::{Instant, PartId, PrimitiveEvent, Sap, Trace, Value};
-use svckit::netsim::QueueBackend;
 
 fn sap(k: u64) -> Sap {
     Sap::new("subscriber", PartId::new(k))
@@ -123,29 +122,26 @@ fn explorer_accepts_every_solution_trace_as_a_path() {
     }
 }
 
-/// Runs `solution` on the given backend and fingerprints everything the
-/// conformance machinery consumes: the recorded service-primitive trace
-/// plus the run's floor metrics, via their debug rendering.
-fn solution_fingerprint(solution: Solution, backend: QueueBackend) -> String {
-    let params = RunParams::default()
-        .subscribers(3)
-        .resources(2)
-        .rounds(2)
-        .queue_backend(backend);
+/// Runs `solution` and fingerprints everything the conformance machinery
+/// consumes: the recorded service-primitive trace plus the run's floor
+/// metrics, via their debug rendering.
+fn solution_fingerprint(solution: Solution) -> String {
+    let params = RunParams::default().subscribers(3).resources(2).rounds(2);
     let outcome = run_solution(solution, &params);
     assert!(outcome.conformant, "{solution} must stay conformant");
     format!("{:?} {:?}", outcome.trace, outcome.floor)
 }
 
 #[test]
-fn every_solution_trace_is_backend_invariant() {
-    // One parametrized check per solution: the timer wheel and the
-    // reference heap must yield byte-identical traces and metrics.
+fn every_solution_trace_is_reproducible() {
+    // One parametrized check per solution: the same parameters must yield
+    // byte-identical traces and metrics. Queue-backend equivalence is the
+    // simulator's own concern (`wheel_oracle`, `determinism_golden`).
     for solution in Solution::ALL {
         assert_eq!(
-            solution_fingerprint(solution, QueueBackend::Wheel),
-            solution_fingerprint(solution, QueueBackend::Heap),
-            "{solution} diverged between queue backends"
+            solution_fingerprint(solution),
+            solution_fingerprint(solution),
+            "{solution} diverged between identical runs"
         );
     }
 }

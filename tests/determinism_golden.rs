@@ -82,23 +82,23 @@ fn netsim_digest(seed: u64, backend: QueueBackend) -> u64 {
     fnv1a(format!("{report:?}").as_bytes())
 }
 
-fn solution_digest(solution: Solution, seed: u64, backend: QueueBackend) -> u64 {
+fn solution_digest(solution: Solution, seed: u64) -> u64 {
     let params = RunParams::default()
         .subscribers(4)
         .resources(2)
         .rounds(3)
-        .seed(seed)
-        .queue_backend(backend);
+        .seed(seed);
     let outcome = run_solution(solution, &params);
     assert!(outcome.completed, "{solution:?} workload must complete");
     assert!(outcome.conformant, "{solution:?} trace must conform");
     fnv1a(format!("{outcome:?}").as_bytes())
 }
 
-/// Computes a scenario digest under both event-queue backends, asserts
-/// they agree, and returns the shared value — every golden below goes
-/// through this, so each digest check doubles as a backend-equivalence
-/// check.
+/// Computes a raw-simulator digest under both event-queue backends,
+/// asserts they agree, and returns the shared value — every netsim golden
+/// below goes through this, so each digest check doubles as a
+/// backend-equivalence check. Solutions run on the default wheel only:
+/// the backend is a `SimConfig` setting the harnesses do not expose.
 fn digest_on_both_backends(digest: impl Fn(QueueBackend) -> u64) -> u64 {
     let wheel = digest(QueueBackend::Wheel);
     let heap = digest(QueueBackend::Heap);
@@ -130,15 +130,15 @@ fn netsim_report_matches_golden_digest() {
 #[test]
 fn middleware_solution_is_bit_identical_per_seed() {
     assert_eq!(
-        digest_on_both_backends(|b| solution_digest(Solution::MwCallback, 7, b)),
-        digest_on_both_backends(|b| solution_digest(Solution::MwCallback, 7, b))
+        solution_digest(Solution::MwCallback, 7),
+        solution_digest(Solution::MwCallback, 7)
     );
 }
 
 #[test]
 fn middleware_solution_matches_golden_digest() {
     assert_eq!(
-        digest_on_both_backends(|b| solution_digest(Solution::MwCallback, 7, b)),
+        solution_digest(Solution::MwCallback, 7),
         GOLDEN_MW_CALLBACK_SEED7
     );
 }
@@ -146,15 +146,15 @@ fn middleware_solution_matches_golden_digest() {
 #[test]
 fn protocol_solution_is_bit_identical_per_seed() {
     assert_eq!(
-        digest_on_both_backends(|b| solution_digest(Solution::ProtoCallback, 7, b)),
-        digest_on_both_backends(|b| solution_digest(Solution::ProtoCallback, 7, b))
+        solution_digest(Solution::ProtoCallback, 7),
+        solution_digest(Solution::ProtoCallback, 7)
     );
 }
 
 #[test]
 fn protocol_solution_matches_golden_digest() {
     assert_eq!(
-        digest_on_both_backends(|b| solution_digest(Solution::ProtoCallback, 7, b)),
+        solution_digest(Solution::ProtoCallback, 7),
         GOLDEN_PROTO_CALLBACK_SEED7
     );
 }
