@@ -1,8 +1,6 @@
 //! The analysis driver and its text/JSON reports.
 
-use std::collections::BTreeMap;
-
-use svckit_lts::explorer::Reduction;
+use svckit_lts::explorer::{AbstractEvent, Reduction};
 use svckit_lts::Backend;
 use svckit_sweep::{JsonWriter, LddStats, PorStats, SymStats};
 
@@ -57,18 +55,26 @@ impl AnalysisReport {
     /// Targets providing the same service over the same universe (the six
     /// floor-control solutions, notably) share one exploration: the
     /// exhaustive passes depend only on `(service, universe, options)`,
-    /// which the cache key captures.
+    /// and the cache key is the service name plus the universe itself.
     pub fn run(targets: &[Target], options: &ServicePassOptions) -> AnalysisReport {
-        let mut cache: BTreeMap<(String, usize), ServiceAnalysis> = BTreeMap::new();
+        // A run has a handful of distinct (service, universe) pairs, so the
+        // cache is a list scanned in target order.
+        let mut cache: Vec<(&str, &[AbstractEvent], ServiceAnalysis)> = Vec::new();
         let mut reports = Vec::new();
         for target in targets {
-            let key = (target.service.name().to_owned(), target.universe.len());
-            let analysis = cache
-                .entry(key)
-                .or_insert_with(|| {
-                    analyze_service(&target.service, target.universe.clone(), options)
-                })
-                .clone();
+            let name = target.service.name();
+            let cached = cache
+                .iter()
+                .find(|(n, universe, _)| *n == name && *universe == target.universe.as_slice());
+            let analysis = match cached {
+                Some((_, _, analysis)) => analysis.clone(),
+                None => {
+                    let analysis =
+                        analyze_service(&target.service, target.universe.clone(), options);
+                    cache.push((name, &target.universe, analysis.clone()));
+                    analysis
+                }
+            };
             let mut diagnostics = analysis.diagnostics;
             if let Some(decl) = &target.protocol {
                 diagnostics.extend(analyze_protocol(&target.service, decl));
@@ -242,6 +248,31 @@ mod tests {
         let text = report.render_text();
         assert!(text.contains("error[SA001]"));
         assert!(text.contains("1 error(s)"));
+    }
+
+    #[test]
+    fn equally_long_universes_get_separate_explorations() {
+        // One subscriber with two resources and two subscribers with one
+        // resource: the same service, six events each, different spaces.
+        let target = |name: &str, subscribers, resources| Target {
+            name: name.to_owned(),
+            kind: "solution",
+            service: svckit_floorctl::floor_control_service(),
+            universe: svckit_floorctl::floor_event_universe(subscribers, resources),
+            protocol: None,
+            implementation: None,
+            notes: Vec::new(),
+        };
+        let (a, b) = (target("a", 1, 2), target("b", 2, 1));
+        assert_eq!(a.universe.len(), b.universe.len());
+        let options = ServicePassOptions::default();
+        let alone = |t: &Target| AnalysisReport::run(std::slice::from_ref(t), &options);
+        let (alone_a, alone_b) = (alone(&a), alone(&b));
+        assert_ne!(alone_a.targets[0].states, alone_b.targets[0].states);
+        let both = AnalysisReport::run(&[a, b], &options);
+        assert_eq!(both.targets[0].states, alone_a.targets[0].states);
+        assert_eq!(both.targets[1].states, alone_b.targets[0].states);
+        assert_eq!(both.targets[1].sym, alone_b.targets[0].sym);
     }
 
     #[test]

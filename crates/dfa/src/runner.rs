@@ -377,21 +377,42 @@ impl Binder {
         Ok(next)
     }
 
-    /// [`Binder::step_fixed`] over `u32` state vectors, for searches whose
-    /// product keys are shared with other `u32`-keyed engines. Slot states
-    /// always fit `u16` (they come from the tables); the wide layout is the
-    /// caller's.
-    pub fn step_wide(&self, key: &[u32], edges: &[Edge]) -> Result<Vec<u32>, Rejection> {
-        let mut next = key.to_vec();
+    /// Steps a fixed-width `u32` product state (every edge slot in range)
+    /// into `out`, the caller's reusable buffer — the explorer's search
+    /// step, whose product keys share one `u32` layout with the
+    /// interpreter engine. Slot states always fit `u16` (they come from
+    /// the tables); the wide layout is the caller's.
+    ///
+    /// Enablement is decided before anything is copied: a rejected
+    /// occurrence costs only its table loads and leaves `out` untouched.
+    /// Checking every edge against `key` first is exact because the edges
+    /// of one occurrence drive distinct slots (one edge per constraint,
+    /// and slots are per constraint).
+    pub fn step_key_into(
+        &self,
+        key: &[u32],
+        edges: &[Edge],
+        out: &mut Vec<u32>,
+    ) -> Result<(), Rejection> {
         for (i, e) in edges.iter().enumerate() {
-            let state = u16::try_from(next[e.slot as usize]).expect("slot states fit u16");
-            let successor = self.slot_info[e.slot as usize].dfa.next(state, e.class);
-            if successor == DEAD {
+            let state = Self::wide_state(key, e.slot);
+            if self.slot_info[e.slot as usize].dfa.next(state, e.class) == DEAD {
                 return Err(Rejection { edge: i, state });
             }
-            next[e.slot as usize] = u32::from(successor);
         }
-        Ok(next)
+        out.clear();
+        out.extend_from_slice(key);
+        for e in edges {
+            let state = Self::wide_state(key, e.slot);
+            let successor = self.slot_info[e.slot as usize].dfa.next(state, e.class);
+            out[e.slot as usize] = u32::from(successor);
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn wide_state(key: &[u32], slot: u32) -> u16 {
+        u16::try_from(key[slot as usize]).expect("slot states fit u16")
     }
 
     /// [`Binder::is_quiescent`] over `u32` state vectors.

@@ -23,6 +23,10 @@
 //!   built; walks are memoized per `(event, node, depth)`;
 //! * [`LddStore::satcount`] counts the concrete vectors a diagram denotes.
 //!
+//! The unique table and every cache are `svckit_model::hash::FastMap`s
+//! keyed by small integer tuples: they are probed and filled, never
+//! iterated, so node ids and every count stay independent of the hasher.
+//!
 //! A [`Backend`] knob (explicit vs symbolic) rides here so every consumer
 //! crate can thread it the way `svckit-dfa`'s `Engine` is threaded.
 //!
@@ -38,7 +42,7 @@ mod backend;
 
 pub use backend::Backend;
 
-use std::collections::HashMap;
+use svckit_model::hash::FastMap;
 
 /// A diagram id: an index into the store's node table. Equal sets have
 /// equal ids (hash-consing), so this is also the set's identity.
@@ -106,12 +110,14 @@ enum Head {
 #[derive(Debug)]
 pub struct LddStore {
     nodes: Vec<Node>,
-    unique: HashMap<(u32, Ldd, Ldd), Ldd>,
+    /// Hash-consing index over `nodes`. The tables below are only ever
+    /// probed, never iterated, so the Fx hasher cannot reach any output.
+    unique: FastMap<(u32, Ldd, Ldd), Ldd>,
     /// Binary-op memo: `(op, a, b) → result`.
-    op_cache: HashMap<(u8, Ldd, Ldd), Ldd>,
+    op_cache: FastMap<(u8, Ldd, Ldd), Ldd>,
     /// Relational-product memo: `(op, event, node, depth) → result`.
-    rel_cache: HashMap<(u8, u32, Ldd, u32), Ldd>,
-    count_cache: HashMap<Ldd, u64>,
+    rel_cache: FastMap<(u8, u32, Ldd, u32), Ldd>,
+    count_cache: FastMap<Ldd, u64>,
     cache_hits: u64,
     node_limit: usize,
 }
@@ -138,10 +144,10 @@ impl LddStore {
         };
         LddStore {
             nodes: vec![sentinel; 2],
-            unique: HashMap::new(),
-            op_cache: HashMap::new(),
-            rel_cache: HashMap::new(),
-            count_cache: HashMap::new(),
+            unique: FastMap::default(),
+            op_cache: FastMap::default(),
+            rel_cache: FastMap::default(),
+            count_cache: FastMap::default(),
             cache_hits: 0,
             node_limit,
         }

@@ -24,10 +24,12 @@
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use svckit_dfa::{Binder, Compiled, Edge, Engine};
 use svckit_ldd::Backend;
+use svckit_model::hash::FastMap;
 use svckit_model::{Constraint, ConstraintKind, ConstraintScope, Sap, ServiceDefinition, Value};
 
 use crate::lts::{Lts, LtsBuilder, StateId};
@@ -785,7 +787,7 @@ impl<'a> ServiceExplorer<'a> {
         let mut engine = StepEngine::new(self);
         let event_ids: Vec<u32> = self.universe.iter().map(|e| engine.event_id(e)).collect();
         let mut builder = LtsBuilder::new();
-        let mut index: HashMap<Vec<u32>, StateId> = HashMap::new();
+        let mut index: FastMap<Vec<u32>, StateId> = FastMap::default();
         let init = engine.initial_key();
         let id0 = builder.add_state("init");
         if engine.is_quiescent(&init) {
@@ -793,10 +795,11 @@ impl<'a> ServiceExplorer<'a> {
         }
         index.insert(init.clone(), id0);
         let mut queue = VecDeque::from([(init, id0)]);
+        let mut next = Vec::new();
         while let Some((key, from)) = queue.pop_front() {
             for (event, &eid) in self.universe.iter().zip(&event_ids) {
-                if let Ok(next) = engine.step_key(&key, event, eid) {
-                    match index.get(&next) {
+                if engine.step_key(&key, event, eid, &mut next).is_ok() {
+                    match index.get(next.as_slice()) {
                         Some(&to) => builder.add_transition(from, event.clone(), to),
                         None => {
                             if index.len() >= max_states {
@@ -808,7 +811,7 @@ impl<'a> ServiceExplorer<'a> {
                             }
                             index.insert(next.clone(), to);
                             builder.add_transition(from, event.clone(), to);
-                            queue.push_back((next, to));
+                            queue.push_back((next.clone(), to));
                         }
                     }
                 }
@@ -842,30 +845,17 @@ impl<'a> ServiceExplorer<'a> {
                 engine.event_id(&event);
             }
         }
-        let mut pool: Vec<Vec<u32>> = Vec::new();
-        let mut ids: HashMap<Vec<u32>, u32> = HashMap::new();
-        fn intern(
-            key: Vec<u32>,
-            ids: &mut HashMap<Vec<u32>, u32>,
-            pool: &mut Vec<Vec<u32>>,
-        ) -> u32 {
-            if let Some(&id) = ids.get(&key) {
-                return id;
-            }
-            let id = u32::try_from(pool.len()).expect("fewer than 2^32 service states");
-            pool.push(key.clone());
-            ids.insert(key, id);
-            id
-        }
-        let cs0 = intern(engine.initial_key(), &mut ids, &mut pool);
+        let mut pool = KeyPool::default();
+        let cs0 = pool.intern(&engine.initial_key());
         // BFS search-tree nodes: (parent node, event taken to get here).
         let mut nodes: Vec<(Option<usize>, Option<AbstractEvent>)> = vec![(None, None)];
         let mut seen: HashSet<(StateId, u32)> = HashSet::new();
         seen.insert((implementation.initial(), cs0));
         let mut queue: VecDeque<(StateId, u32, usize)> =
             VecDeque::from([(implementation.initial(), cs0, 0)]);
+        let mut next = Vec::new();
         while let Some((is, csid, node)) = queue.pop_front() {
-            let key = pool[csid as usize].clone();
+            let key = Rc::clone(pool.key(csid));
             for (act, t) in implementation.outgoing(is) {
                 match act.visible() {
                     None => {
@@ -877,9 +867,9 @@ impl<'a> ServiceExplorer<'a> {
                     }
                     Some(event) => {
                         let eid = engine.event_id(event);
-                        match engine.step_key(&key, event, eid) {
-                            Ok(next) => {
-                                let nid = intern(next, &mut ids, &mut pool);
+                        match engine.step_key(&key, event, eid, &mut next) {
+                            Ok(()) => {
+                                let nid = pool.intern(&next);
                                 if seen.insert((*t, nid)) {
                                     nodes.push((Some(node), Some(event.clone())));
                                     queue.push_back((*t, nid, nodes.len() - 1));
@@ -1166,8 +1156,7 @@ impl<'a> ServiceExplorer<'a> {
         };
         let n = self.universe.len();
 
-        let mut pool: Vec<Vec<u32>> = Vec::new();
-        let mut ids: HashMap<Vec<u32>, u32> = HashMap::new();
+        let mut pool = KeyPool::default();
         // Breadth-first tree: state id → (parent state, universe index).
         let mut parents: Vec<Option<(u32, u32)>> = Vec::new();
         let mut quiescent: Vec<bool> = Vec::new();
@@ -1180,18 +1169,20 @@ impl<'a> ServiceExplorer<'a> {
         let mut states_saved = 0u64;
 
         let raw_init = engine.initial_key();
-        let (init, init_orbit) = match sym.as_mut() {
+        // Every product key of the search has the initial key's width:
+        // steps and canonicalization rewrite components in place.
+        let width = raw_init.len();
+        let mut canon: Vec<u32> = Vec::with_capacity(width);
+        let init = match sym.as_mut() {
             Some(sym) => {
-                let (key, orbit, _) = sym.canonical(&mut engine, raw_init);
-                (key, orbit)
+                states_saved += sym.canonical(&mut engine, &raw_init, &mut canon) - 1;
+                &canon
             }
-            None => (raw_init, 1),
+            None => &raw_init,
         };
-        states_saved += init_orbit - 1;
-        pool.push(init.clone());
-        ids.insert(init, 0);
+        pool.insert(init);
         parents.push(None);
-        quiescent.push(engine.is_quiescent(&pool[0]));
+        quiescent.push(engine.is_quiescent(init));
         let mut queue: VecDeque<u32> = VecDeque::from([0]);
 
         let steps_to = |sid: u32, parents: &[Option<(u32, u32)>]| -> Vec<u32> {
@@ -1205,23 +1196,39 @@ impl<'a> ServiceExplorer<'a> {
             steps
         };
 
+        // Per-state scratch, reused across the whole search: the stepped
+        // key, the enabled events with their successors' orbit sizes, the
+        // successors' (canonical) keys back to back, `width` words each,
+        // and the enabled set as a bitset for ample-set counting.
+        let mut next: Vec<u32> = Vec::with_capacity(width);
+        let mut enabled: Vec<(usize, u64)> = Vec::new();
+        let mut succ: Vec<u32> = Vec::new();
+        let mut enabled_bits = vec![0u64; n.div_ceil(64)];
+        let mut expand: Vec<usize> = Vec::new();
         while let Some(sid) = queue.pop_front() {
-            let key = pool[sid as usize].clone();
-            let mut enabled: Vec<usize> = Vec::new();
-            // Successor and its orbit size (1 without symmetry).
-            let mut succ: Vec<Option<(Vec<u32>, u64)>> = vec![None; n];
+            let key = Rc::clone(pool.key(sid));
+            enabled.clear();
+            succ.clear();
             for i in 0..n {
-                if let Ok(next) = engine.step_key(&key, &self.universe[i], event_ids[i]) {
-                    enabled.push(i);
-                    enabled_ever[i] = true;
-                    succ[i] = Some(match sym.as_mut() {
-                        Some(sym) => {
-                            let (canon, orbit, _) = sym.canonical(&mut engine, next);
-                            (canon, orbit)
-                        }
-                        None => (next, 1),
-                    });
+                if engine
+                    .step_key(&key, &self.universe[i], event_ids[i], &mut next)
+                    .is_err()
+                {
+                    continue;
                 }
+                enabled_ever[i] = true;
+                let orbit = match sym.as_mut() {
+                    Some(sym) => {
+                        let orbit = sym.canonical(&mut engine, &next, &mut canon);
+                        succ.extend_from_slice(&canon);
+                        orbit
+                    }
+                    None => {
+                        succ.extend_from_slice(&next);
+                        1
+                    }
+                };
+                enabled.push((i, orbit));
             }
             if enabled.is_empty() {
                 deadlock_states += 1;
@@ -1230,35 +1237,40 @@ impl<'a> ServiceExplorer<'a> {
                 }
                 continue;
             }
-            let mut expand: &[usize] = &enabled;
-            let ample: Vec<usize>;
+            // `expand` holds positions into `enabled` (and `succ`).
+            expand.clear();
+            expand.extend(0..enabled.len());
             if let Some(closures) = &closures {
                 // Candidate minimising |closure ∩ enabled| (ties: lowest
-                // universe index, for determinism).
-                let mut best: Option<Vec<usize>> = None;
-                for &i in &enabled {
-                    let set: Vec<usize> = enabled
+                // universe index, for determinism), counted on bitsets.
+                enabled_bits.fill(0);
+                for &(j, _) in &enabled {
+                    enabled_bits[j / 64] |= 1 << (j % 64);
+                }
+                let mut best: Option<(usize, u32)> = None;
+                for &(i, _) in &enabled {
+                    let size = closures[i]
                         .iter()
-                        .copied()
-                        .filter(|&j| closures[i][j / 64] >> (j % 64) & 1 == 1)
-                        .collect();
-                    if best.as_ref().is_none_or(|b| set.len() < b.len()) {
-                        best = Some(set);
+                        .zip(&enabled_bits)
+                        .map(|(c, e)| (c & e).count_ones())
+                        .sum::<u32>();
+                    if best.is_none_or(|(_, b)| size < b) {
+                        best = Some((i, size));
                     }
                 }
-                let candidate = best.expect("enabled set is non-empty");
+                let (best, size) = best.expect("enabled set is non-empty");
+                let in_closure = |j: usize| closures[best][j / 64] >> (j % 64) & 1 == 1;
                 // Guard against trivial starvation: an ample set whose
                 // every transition loops back to this very state would let
                 // the search idle forever and ignore the rest of the
                 // enabled events (constraint-irrelevant events self-loop;
                 // under symmetry, orbit-internal moves count as self-loops
                 // too, which only ever forces *more* expansion).
-                let only_self_loops = candidate
-                    .iter()
-                    .all(|&i| succ[i].as_ref().expect("enabled").0 == key);
-                if candidate.len() < enabled.len() && !only_self_loops {
-                    ample = candidate;
-                    expand = &ample;
+                let only_self_loops = enabled.iter().enumerate().all(|(p, &(j, _))| {
+                    !in_closure(j) || succ[p * width..(p + 1) * width] == key[..]
+                });
+                if (size as usize) < enabled.len() && !only_self_loops {
+                    expand.retain(|&p| in_closure(enabled[p].0));
                 }
             }
             if ample_hist.len() <= expand.len() {
@@ -1267,20 +1279,19 @@ impl<'a> ServiceExplorer<'a> {
             ample_hist[expand.len()] += 1;
             svckit_obs::obs_count!("lts.states_expanded");
             svckit_obs::obs_record!("lts.ample_size", expand.len());
-            for &i in expand {
-                let (next, orbit) = succ[i].clone().expect("enabled event has a successor");
-                match ids.get(&next) {
-                    Some(&to) => edges.push((sid, i as u32, to)),
+            for &p in &expand {
+                let (i, orbit) = enabled[p];
+                let next = &succ[p * width..(p + 1) * width];
+                match pool.get(next) {
+                    Some(to) => edges.push((sid, i as u32, to)),
                     None => {
                         if pool.len() >= options.max_states {
                             truncated = true;
                             continue;
                         }
-                        let to = u32::try_from(pool.len()).expect("fewer than 2^32 states");
                         states_saved += orbit - 1;
-                        quiescent.push(engine.is_quiescent(&next));
-                        pool.push(next.clone());
-                        ids.insert(next, to);
+                        quiescent.push(engine.is_quiescent(next));
+                        let to = pool.insert(next);
                         parents.push(Some((sid, i as u32)));
                         edges.push((sid, i as u32, to));
                         queue.push_back(to);
@@ -1400,7 +1411,9 @@ impl<'a> ServiceExplorer<'a> {
         let mut sigma: Vec<Vec<usize>> =
             sym.groups.iter().map(|g| (0..g.len()).collect()).collect();
         let raw_init = engine.initial_key();
-        let (mut key, _, _) = sym.canonical(engine, raw_init);
+        let mut key = Vec::new();
+        sym.canonical(engine, &raw_init, &mut key);
+        let mut next = Vec::new();
         let mut out = Vec::with_capacity(steps.len());
         for &ei in steps {
             let event = &self.universe[ei as usize];
@@ -1412,19 +1425,18 @@ impl<'a> ServiceExplorer<'a> {
                 ),
                 None => event.clone(),
             });
-            let next = match engine.step_key(&key, event, event_ids[ei as usize]) {
-                Ok(next) => next,
-                Err(_) => unreachable!("recorded search edges step successfully"),
-            };
-            let (canon, _, orders) = sym.canonical(engine, next);
-            if let Some(orders) = &orders {
-                // Canonical member p of the successor is the stepped
-                // state's member orders[g][p]: compose the renamings.
-                for (g, order) in orders.iter().enumerate() {
-                    sigma[g] = order.iter().map(|&src| sigma[g][src]).collect();
-                }
+            if engine
+                .step_key(&key, event, event_ids[ei as usize], &mut next)
+                .is_err()
+            {
+                unreachable!("recorded search edges step successfully");
             }
-            key = canon;
+            sym.canonical(engine, &next, &mut key);
+            // Canonical member p of the successor is the stepped state's
+            // member orders[g][p]: compose the renamings.
+            for (g, order) in sym.orders.iter().enumerate() {
+                sigma[g] = order.iter().map(|&src| sigma[g][src]).collect();
+            }
         }
         out
     }
@@ -1494,6 +1506,50 @@ impl<'a> ServiceExplorer<'a> {
             }
         }
         None
+    }
+}
+
+/// Product keys interned to dense ids in first-insertion order — the
+/// state table of [`ServiceExplorer::explore`] and
+/// [`ServiceExplorer::verify_lts`]. Each key is stored once, shared by the
+/// id-ordered pool and the hash index, and probed by borrowed slice, so a
+/// lookup never copies the caller's buffer. The index is never iterated;
+/// ids come from `keys`, so the hasher cannot reach any output.
+#[derive(Default)]
+struct KeyPool {
+    keys: Vec<Rc<[u32]>>,
+    ids: FastMap<Rc<[u32]>, u32>,
+}
+
+impl KeyPool {
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn get(&self, key: &[u32]) -> Option<u32> {
+        self.ids.get(key).copied()
+    }
+
+    /// The key interned as `id`.
+    fn key(&self, id: u32) -> &Rc<[u32]> {
+        &self.keys[id as usize]
+    }
+
+    /// Interns a key known to be absent and returns its new id.
+    fn insert(&mut self, key: &[u32]) -> u32 {
+        let id = u32::try_from(self.keys.len()).expect("fewer than 2^32 states");
+        let shared: Rc<[u32]> = Rc::from(key);
+        self.keys.push(Rc::clone(&shared));
+        self.ids.insert(shared, id);
+        id
+    }
+
+    /// The id of `key`, interning it when new.
+    fn intern(&mut self, key: &[u32]) -> u32 {
+        match self.get(key) {
+            Some(id) => id,
+            None => self.insert(key),
+        }
     }
 }
 
@@ -1616,15 +1672,17 @@ impl<'x, 'a> ProductEngine<'x, 'a> {
         }
     }
 
-    /// Steps a product key by one event. `Err((constraint index, state id))`
-    /// identifies the first violated constraint; fetch the violation with
-    /// [`ProductEngine::violation`].
+    /// Steps a product key by one event into `out`, the caller's reusable
+    /// buffer. `Err((constraint index, state id))` identifies the first
+    /// violated constraint (fetch the violation with
+    /// [`ProductEngine::violation`]); `out` is then unspecified.
     fn step_key(
         &mut self,
         key: &[u32],
         event: &AbstractEvent,
         eid: u32,
-    ) -> Result<Vec<u32>, (usize, u32)> {
+        out: &mut Vec<u32>,
+    ) -> Result<(), (usize, u32)> {
         let explorer = self.explorer;
         let relevant: &[usize] = if explorer.has_opaque_kinds {
             &self.all_indices
@@ -1634,7 +1692,8 @@ impl<'x, 'a> ProductEngine<'x, 'a> {
                 .get(&event.primitive)
                 .map_or(&[], Vec::as_slice)
         };
-        let mut next = key.to_vec();
+        out.clear();
+        out.extend_from_slice(key);
         for &i in relevant {
             let sid = key[i];
             if !self.tables[i].trans.contains_key(&(sid, eid)) {
@@ -1646,21 +1705,23 @@ impl<'x, 'a> ProductEngine<'x, 'a> {
                 self.tables[i].trans.insert((sid, eid), computed);
             }
             match &self.tables[i].trans[&(sid, eid)] {
-                Ok(nid) => next[i] = *nid,
+                Ok(nid) => out[i] = *nid,
                 Err(_) => return Err((i, sid)),
             }
         }
-        Ok(next)
+        Ok(())
     }
 
-    /// Re-interns `key` with every SAP renamed through `rename` (a
-    /// bijection on symmetric-group members, the identity elsewhere).
+    /// Writes `key` to `out` re-interned with every SAP renamed through
+    /// `rename` (a bijection on symmetric-group members, the identity
+    /// elsewhere).
     /// Constraints whose state mentions no renamed SAP keep their
     /// interned id — no allocation, no rebuild.
-    fn rename_key(&mut self, key: &[u32], rename: &HashMap<Sap, Sap>) -> Vec<u32> {
+    fn rename_key(&mut self, key: &[u32], rename: &HashMap<Sap, Sap>, out: &mut Vec<u32>) {
         let constraints = self.explorer.service.constraints();
-        let mut next = key.to_vec();
-        for (ci, slot) in next.iter_mut().enumerate() {
+        out.clear();
+        out.extend_from_slice(key);
+        for (ci, slot) in out.iter_mut().enumerate() {
             let current = Arc::clone(&self.tables[ci].states[*slot as usize]);
             let renamed = match current.as_ref() {
                 CState::Counters(map) => {
@@ -1693,7 +1754,6 @@ impl<'x, 'a> ProductEngine<'x, 'a> {
             };
             *slot = self.tables[ci].intern(&constraints[ci], renamed);
         }
-        next
     }
 }
 
@@ -1757,21 +1817,27 @@ impl<'x, 'a> StepEngine<'x, 'a> {
         }
     }
 
+    /// Steps `key` by one event into `out`, the caller's reusable buffer
+    /// (the search loops keep one per search, so stepping allocates
+    /// nothing). On `Err` the contents of `out` are unspecified; the DFA
+    /// engine decides enablement before it copies anything.
     fn step_key(
         &mut self,
         key: &[u32],
         event: &AbstractEvent,
         eid: u32,
-    ) -> Result<Vec<u32>, StepErr> {
+        out: &mut Vec<u32>,
+    ) -> Result<(), StepErr> {
         match self {
             StepEngine::Interp(engine) => engine
-                .step_key(key, event, eid)
+                .step_key(key, event, eid, out)
                 .map_err(|(ci, sid)| StepErr::Interp { ci, sid, eid }),
             StepEngine::Dfa(rt) => {
+                let edges = rt.binder.edges(eid);
                 rt.binder
-                    .step_wide(key, rt.binder.edges(eid))
+                    .step_key_into(key, edges, out)
                     .map_err(|rejection| StepErr::Dfa {
-                        edge: rt.binder.edges(eid)[rejection.edge],
+                        edge: edges[rejection.edge],
                         state: rejection.state,
                     })
             }
@@ -1825,9 +1891,33 @@ enum FragAtom {
     HeldSlot { slot: u32 },
 }
 
+/// One mutex slot as the canonicalizer sees it, tabulated once in
+/// [`SymCanon::build`] so the per-successor work is array loads: no
+/// holder lookups, no `Sap` clones.
+struct MutexSlot {
+    /// The slot.
+    slot: u32,
+    /// Slot state → the `(group, member)` holding the mutex in that
+    /// state; `None` for the free state and for non-member holders.
+    holder: Vec<Option<(usize, usize)>>,
+    /// `held_by[g][j]` = the slot state meaning "held by group `g`'s
+    /// member `j`" (`None` when that member never acquires this mutex).
+    held_by: Vec<Vec<Option<u16>>>,
+}
+
+impl MutexSlot {
+    /// The group member holding the mutex in slot state `state`.
+    #[inline]
+    fn holder_of(&self, state: u32) -> Option<(usize, usize)> {
+        self.holder.get(state as usize).copied().flatten()
+    }
+}
+
 /// The canonicalizer behind [`ExploreOptions::symmetry`]: detected
-/// symmetric groups, the fragment-id interner, and (under the DFA engine)
-/// the slot families that tie each member's slots together.
+/// symmetric groups, the fragment-id interner, (under the DFA engine) the
+/// slot families that tie each member's slots together, and scratch
+/// buffers reused across calls so that canonicalizing a successor
+/// allocates only when it meets a fragment for the first time.
 struct SymCanon {
     /// The detected groups, each sorted by SAP order.
     groups: Vec<Vec<Sap>>,
@@ -1835,16 +1925,24 @@ struct SymCanon {
     member_index: HashMap<Sap, (usize, usize)>,
     /// Fragment → dense id, assigned in first-encounter order. Sorting
     /// members by these ids is the canonical form; discovery order makes
-    /// it engine-independent (see [`FragAtom`]).
-    frag_ids: HashMap<Vec<FragAtom>, u32>,
+    /// it engine-independent (see [`FragAtom`]). Probed by borrowed
+    /// slice, so only a first encounter copies the fragment.
+    frag_ids: FastMap<Vec<FragAtom>, u32>,
     /// DFA only: `dfa_families[g][f][j]` = the slot of group `g`'s member
     /// `j` in family `f` (one family per non-mutex `(constraint, key)`
     /// instance bound to a member, sorted by that pair).
     dfa_families: Vec<Vec<Vec<u32>>>,
-    /// DFA only: `(slot, constraint)` of every mutex slot, ascending.
-    dfa_mutex: Vec<(u32, usize)>,
+    /// DFA only: every mutex slot, ascending.
+    dfa_mutex: Vec<MutexSlot>,
     /// Non-identity canonicalizations performed so far.
     canon_hits: u64,
+    /// The per-group member orders of the last [`SymCanon::canonical`]
+    /// call: canonical position `p` took the fragment of member
+    /// `orders[g][p]`.
+    orders: Vec<Vec<usize>>,
+    /// Scratch: the fragment being built, and one group's fragment ids.
+    frag: Vec<FragAtom>,
+    frags: Vec<u32>,
 }
 
 impl SymCanon {
@@ -1874,12 +1972,32 @@ impl SymCanon {
                 // slots, `None` until that member's slot interns.
                 type Families = BTreeMap<(usize, Vec<Value>), Vec<Option<u32>>>;
                 let mut families: Vec<Families> = vec![BTreeMap::new(); groups.len()];
-                let mut mutexes: Vec<(u32, usize)> = Vec::new();
+                let mut mutexes: Vec<MutexSlot> = Vec::new();
                 for (slot, (ci, (owner, key))) in rt.binder.slot_instances().into_iter().enumerate()
                 {
                     let slot = u32::try_from(slot).expect("slot count fits u32");
                     if rt.binder.is_mutex(ci) {
-                        mutexes.push((slot, ci));
+                        let holder = (0..rt.binder.slot_nstates(slot))
+                            .map(|state| {
+                                rt.binder
+                                    .mutex_holder_of(ci, state)
+                                    .and_then(|sap| member_index.get(&sap).copied())
+                            })
+                            .collect();
+                        let held_by = groups
+                            .iter()
+                            .map(|members| {
+                                members
+                                    .iter()
+                                    .map(|sap| rt.binder.mutex_holder_state(ci, sap))
+                                    .collect()
+                            })
+                            .collect();
+                        mutexes.push(MutexSlot {
+                            slot,
+                            holder,
+                            held_by,
+                        });
                     } else if let Some(&(g, j)) =
                         owner.as_ref().and_then(|sap| member_index.get(sap))
                     {
@@ -1913,89 +2031,103 @@ impl SymCanon {
             }
             StepEngine::Interp(_) => (Vec::new(), Vec::new()),
         };
+        let orders = groups.iter().map(|g| Vec::with_capacity(g.len())).collect();
         Some(SymCanon {
             groups,
             member_index,
-            frag_ids: HashMap::new(),
+            frag_ids: FastMap::default(),
             dfa_families,
             dfa_mutex,
             canon_hits: 0,
+            orders,
+            frag: Vec::new(),
+            frags: Vec::new(),
         })
     }
 
-    /// Rewrites `key` to its orbit representative and returns it together
-    /// with the orbit's size and — when the canonicalization was not the
-    /// identity — the per-group member orders applied (canonical position
-    /// `p` took the fragment of member `orders[g][p]`).
+    /// Writes `key`'s orbit representative to `out` and returns the
+    /// orbit's size. The per-group member orders applied are left in
+    /// [`SymCanon::orders`] (identity orders when `key` already is its
+    /// representative).
     ///
     /// The representative is well-defined on orbits: permuting members
     /// permutes the fragment multiset, and "position `p` gets the `p`-th
     /// smallest fragment" lands every orbit member on the same state. Ties
-    /// (equal fragments) are broken stably by member index, which cannot
-    /// change the resulting state — tied fragments are identical. Applying
-    /// the form twice is the identity, since sorted fragments stay sorted.
+    /// (equal fragments) are broken by member index, which cannot change
+    /// the resulting state — tied fragments are identical. Applying the
+    /// form twice is the identity, since sorted fragments stay sorted.
     fn canonical(
         &mut self,
         engine: &mut StepEngine<'_, '_>,
-        key: Vec<u32>,
-    ) -> (Vec<u32>, u64, Option<Vec<Vec<usize>>>) {
-        let mut orders: Vec<Vec<usize>> = Vec::with_capacity(self.groups.len());
+        key: &[u32],
+        out: &mut Vec<u32>,
+    ) -> u64 {
         let mut orbit = 1u64;
         let mut identity = true;
         for g in 0..self.groups.len() {
             let members = self.groups[g].len();
-            let mut frags: Vec<u32> = Vec::with_capacity(members);
+            self.frags.clear();
             for j in 0..members {
-                let frag = member_frag(
+                self.frag.clear();
+                member_frag(
                     &*engine,
-                    &self.groups,
-                    &self.dfa_families,
+                    self.dfa_families.get(g).map_or(&[], Vec::as_slice),
                     &self.dfa_mutex,
-                    g,
-                    j,
-                    &key,
+                    (g, j, &self.groups[g][j]),
+                    key,
+                    &mut self.frag,
                 );
-                let next_id =
-                    u32::try_from(self.frag_ids.len()).expect("fewer than 2^32 fragments");
-                frags.push(*self.frag_ids.entry(frag).or_insert(next_id));
+                let id = match self.frag_ids.get(self.frag.as_slice()) {
+                    Some(&id) => id,
+                    None => {
+                        let id =
+                            u32::try_from(self.frag_ids.len()).expect("fewer than 2^32 fragments");
+                        self.frag_ids.insert(self.frag.clone(), id);
+                        id
+                    }
+                };
+                self.frags.push(id);
             }
-            orbit = orbit.saturating_mul(orbit_factor(&frags));
-            let mut order: Vec<usize> = (0..members).collect();
-            order.sort_by_key(|&j| frags[j]);
+            let order = &mut self.orders[g];
+            order.clear();
+            order.extend(0..members);
+            let frags = &self.frags;
+            order.sort_unstable_by_key(|&j| (frags[j], j));
             identity &= order.iter().enumerate().all(|(pos, &src)| pos == src);
-            orders.push(order);
+            orbit = orbit.saturating_mul(orbit_factor(&mut self.frags));
         }
         if identity {
-            return (key, orbit, None);
+            out.clear();
+            out.extend_from_slice(key);
+            return orbit;
         }
         self.canon_hits += 1;
-        let renamed = permute_key(
+        permute_key(
             engine,
             &self.groups,
             &self.dfa_families,
             &self.dfa_mutex,
-            &self.member_index,
-            &orders,
-            &key,
+            &self.orders,
+            key,
+            out,
         );
-        (renamed, orbit, Some(orders))
+        orbit
     }
 }
 
-/// The state fragment of group `g`'s member `j` in product state `key`.
-/// Deterministic within each engine (constraint order, then `BTreeMap` /
-/// family order), so equal fragments produce equal vectors.
+/// Appends the state fragment of group `g`'s member `j` (access point
+/// `sap`) in product state `key` to `frag`; `families` are group `g`'s
+/// slot families. Deterministic within each engine (constraint order,
+/// then `BTreeMap` / family / slot order), so equal fragments produce
+/// equal vectors.
 fn member_frag(
     engine: &StepEngine<'_, '_>,
-    groups: &[Vec<Sap>],
-    dfa_families: &[Vec<Vec<u32>>],
-    dfa_mutex: &[(u32, usize)],
-    g: usize,
-    j: usize,
+    families: &[Vec<u32>],
+    dfa_mutex: &[MutexSlot],
+    (g, j, sap): (usize, usize, &Sap),
     key: &[u32],
-) -> Vec<FragAtom> {
-    let sap = &groups[g][j];
-    let mut frag = Vec::new();
+    frag: &mut Vec<FragAtom>,
+) {
     match engine {
         StepEngine::Interp(product) => {
             for (ci, &sid) in key.iter().enumerate() {
@@ -2024,8 +2156,8 @@ fn member_frag(
                 }
             }
         }
-        StepEngine::Dfa(rt) => {
-            for (f, family) in dfa_families[g].iter().enumerate() {
+        StepEngine::Dfa(_) => {
+            for (f, family) in families.iter().enumerate() {
                 let state = key[family[j] as usize];
                 if state != 0 {
                     frag.push(FragAtom::Slot {
@@ -2034,31 +2166,29 @@ fn member_frag(
                     });
                 }
             }
-            for &(slot, ci) in dfa_mutex {
-                let state = key[slot as usize];
-                if state != 0 && rt.binder.mutex_holder_of(ci, state as u16).as_ref() == Some(sap) {
-                    frag.push(FragAtom::HeldSlot { slot });
+            for mutex in dfa_mutex {
+                if mutex.holder_of(key[mutex.slot as usize]) == Some((g, j)) {
+                    frag.push(FragAtom::HeldSlot { slot: mutex.slot });
                 }
             }
         }
     }
-    frag
 }
 
-/// Applies the member permutation `orders` (canonical position `p` ←
-/// member `orders[g][p]`) to `key`: the DFA engine permutes slot states
-/// along each family and rewrites held mutex slots through the holder
-/// alphabet; the interpreter renames SAPs inside each constraint state and
-/// re-interns.
+/// Writes `key` with the member permutation `orders` (canonical position
+/// `p` ← member `orders[g][p]`) applied to `out`: the DFA engine permutes
+/// slot states along each family and rewrites held mutex slots through
+/// the tabulated holder states; the interpreter renames SAPs inside each
+/// constraint state and re-interns.
 fn permute_key(
     engine: &mut StepEngine<'_, '_>,
     groups: &[Vec<Sap>],
     dfa_families: &[Vec<Vec<u32>>],
-    dfa_mutex: &[(u32, usize)],
-    member_index: &HashMap<Sap, (usize, usize)>,
+    dfa_mutex: &[MutexSlot],
     orders: &[Vec<usize>],
     key: &[u32],
-) -> Vec<u32> {
+    out: &mut Vec<u32>,
+) {
     match engine {
         StepEngine::Interp(product) => {
             let mut rename: HashMap<Sap, Sap> = HashMap::new();
@@ -2069,42 +2199,32 @@ fn permute_key(
                     }
                 }
             }
-            product.rename_key(key, &rename)
+            product.rename_key(key, &rename, out);
         }
-        StepEngine::Dfa(rt) => {
-            let mut next = key.to_vec();
+        StepEngine::Dfa(_) => {
+            out.clear();
+            out.extend_from_slice(key);
             for (g, families) in dfa_families.iter().enumerate() {
                 for family in families {
                     for (pos, &src) in orders[g].iter().enumerate() {
-                        next[family[pos] as usize] = key[family[src] as usize];
+                        out[family[pos] as usize] = key[family[src] as usize];
                     }
                 }
             }
-            for &(slot, ci) in dfa_mutex {
-                let state = key[slot as usize];
-                if state == 0 {
-                    continue;
-                }
-                let Some(holder) = rt.binder.mutex_holder_of(ci, state as u16) else {
-                    continue;
-                };
-                let Some(&(g, j)) = member_index.get(&holder) else {
+            for mutex in dfa_mutex {
+                let Some((g, j)) = mutex.holder_of(key[mutex.slot as usize]) else {
                     continue;
                 };
                 let pos = orders[g]
                     .iter()
                     .position(|&src| src == j)
                     .expect("orders permute the whole group");
-                let renamed = &groups[g][pos];
-                if renamed != &holder {
-                    let state = rt
-                        .binder
-                        .mutex_holder_state(ci, renamed)
+                if pos != j {
+                    let state = mutex.held_by[g][pos]
                         .expect("group members share the mutex holder alphabet");
-                    next[slot as usize] = u32::from(state);
+                    out[mutex.slot as usize] = u32::from(state);
                 }
             }
-            next
         }
     }
 }

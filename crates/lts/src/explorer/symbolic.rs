@@ -70,8 +70,9 @@ impl ProductEngine<'_, '_> {
 /// How one event touches one level, resolved per engine.
 enum Touch {
     /// DFA: the occurrence classes stepped on this slot, in edge order
-    /// (an event rarely steps a slot twice, but composition is sequential
-    /// exactly like `Binder::step_wide`).
+    /// (an occurrence steps each slot at most once — one edge per
+    /// constraint — but composing sequentially keeps that an invariant of
+    /// the binder rather than of this walk).
     Classes(Vec<u16>),
     /// Interpreter: step through the constraint table's lazy memo.
     Constraint,
@@ -512,15 +513,18 @@ impl<'a> ServiceExplorer<'a> {
             let mut visited: Vec<Vec<u32>> = vec![entry.clone()];
             let mut walk: Vec<u32> = Vec::new();
             let mut key = entry;
+            let mut next = Vec::new();
             let split = loop {
                 let mut landed: Option<Vec<u32>> = None;
                 for &ei in &non_progress {
-                    if let Ok(next) = engine.step_key(&key, &self.universe[ei], event_ids[ei]) {
-                        if store.contains(core, &next) {
-                            walk.push(u32::try_from(ei).expect("universe index fits u32"));
-                            landed = Some(next);
-                            break;
-                        }
+                    if engine
+                        .step_key(&key, &self.universe[ei], event_ids[ei], &mut next)
+                        .is_ok()
+                        && store.contains(core, &next)
+                    {
+                        walk.push(u32::try_from(ei).expect("universe index fits u32"));
+                        landed = Some(next.clone());
+                        break;
                     }
                 }
                 let next = landed.expect("core states keep a non-progress successor");
@@ -604,19 +608,19 @@ impl<'a> ServiceExplorer<'a> {
             "backward chaining reaches the initial ply"
         );
         let mut key = init_key.to_vec();
+        let mut next = Vec::new();
         let mut steps: Vec<u32> = Vec::with_capacity(d);
         for next_set in chain.iter().skip(1) {
-            let advanced = (0..self.universe.len()).find_map(|ei| {
-                let next = engine
-                    .step_key(&key, &self.universe[ei], event_ids[ei])
-                    .ok()?;
-                store
-                    .contains(*next_set, &next)
-                    .then_some((u32::try_from(ei).expect("universe index fits u32"), next))
-            });
-            let (ei, next) = advanced.expect("every chained ply is forward-reachable");
-            steps.push(ei);
-            key = next;
+            let ei = (0..self.universe.len())
+                .find(|&ei| {
+                    engine
+                        .step_key(&key, &self.universe[ei], event_ids[ei], &mut next)
+                        .is_ok()
+                        && store.contains(*next_set, &next)
+                })
+                .expect("every chained ply is forward-reachable");
+            steps.push(u32::try_from(ei).expect("universe index fits u32"));
+            std::mem::swap(&mut key, &mut next);
         }
         (steps, key)
     }

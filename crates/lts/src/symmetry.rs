@@ -145,13 +145,13 @@ pub(crate) fn factorial(n: u64) -> u64 {
 /// `frags`: `n! / ∏ mᵢ!` over the multiplicities `mᵢ` of equal fragments.
 /// Members with equal fragments are *fixed* by the corresponding
 /// transpositions, so they do not multiply the orbit.
-pub(crate) fn orbit_factor(frags: &[u32]) -> u64 {
-    let mut sorted = frags.to_vec();
-    sorted.sort_unstable();
+/// Sorts `frags` in place (no allocation on the canonicalizer's path).
+pub(crate) fn orbit_factor(frags: &mut [u32]) -> u64 {
+    frags.sort_unstable();
     let mut size = factorial(frags.len() as u64);
     let mut run = 1u64;
-    for i in 1..=sorted.len() {
-        if i < sorted.len() && sorted[i] == sorted[i - 1] {
+    for i in 1..=frags.len() {
+        if i < frags.len() && frags[i] == frags[i - 1] {
             run += 1;
         } else {
             size /= factorial(run).max(1);
@@ -224,11 +224,11 @@ mod tests {
 
     #[test]
     fn orbit_factor_divides_out_equal_fragments() {
-        assert_eq!(orbit_factor(&[0, 1, 2]), 6);
-        assert_eq!(orbit_factor(&[0, 0, 1]), 3);
-        assert_eq!(orbit_factor(&[0, 0, 0]), 1);
-        assert_eq!(orbit_factor(&[5, 5, 7, 7]), 6);
-        assert_eq!(orbit_factor(&[]), 1);
+        assert_eq!(orbit_factor(&mut [0, 1, 2]), 6);
+        assert_eq!(orbit_factor(&mut [0, 0, 1]), 3);
+        assert_eq!(orbit_factor(&mut [0, 0, 0]), 1);
+        assert_eq!(orbit_factor(&mut [5, 5, 7, 7]), 6);
+        assert_eq!(orbit_factor(&mut []), 1);
     }
 
     #[test]

@@ -1,17 +1,22 @@
-//! A fast, deterministic hasher for the simulator's hot-path maps.
+//! A fast, deterministic hasher for hot-path maps.
 //!
-//! The event core does several hash-map lookups per simulated message
-//! (link scalars, per-pair arrival clamps, node RNGs, timer generations),
-//! all keyed by small integers. The standard library's SipHash is
+//! Several hot loops do hash-map lookups on small integer keys: the
+//! simulator's event core (link scalars, per-pair arrival clamps, node
+//! RNGs, timer generations, several lookups per simulated message), the
+//! explorer's product-state and fragment interners, and the LDD unique
+//! table and operation caches. The standard library's SipHash is
 //! DoS-resistant but costs tens of nanoseconds per `(u64, u64)` key —
-//! more than the rest of the dispatch path combined. Keys here are node
-//! and timer ids chosen by trusted test harnesses, so collision attacks
-//! are not part of the threat model and the Firefox/rustc "Fx" multiply-
-//! rotate hash is the right trade: 2-3 ns per key, fully deterministic.
+//! more than the rest of a simulator dispatch or an explorer successor
+//! combined. Keys here are node ids, timer ids and interned state
+//! vectors chosen by trusted harnesses, so collision attacks are not part
+//! of the threat model and the Firefox/rustc "Fx" multiply-rotate hash is
+//! the right trade: 2-3 ns per word, fully deterministic.
 //!
-//! Hash-map *iteration* order still depends on the hasher, so none of the
-//! simulator's observable output may iterate a [`FastMap`]; everything
-//! reported (metrics, traces) goes through `BTreeMap`s or sorted vectors.
+//! Hash-map *iteration* order still depends on the hasher, so no
+//! observable output may iterate a [`FastMap`]: everything reported
+//! (metrics, traces, diagnostics, state numbering) goes through
+//! `BTreeMap`s, sorted vectors or insertion-ordered side tables. Lookups
+//! and inserts are order-free and may use it freely.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -22,7 +27,7 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// Multiply-rotate hasher for small integer keys.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FxHasher {
+pub struct FxHasher {
     hash: u64,
 }
 
@@ -69,13 +74,14 @@ impl Hasher for FxHasher {
     }
 }
 
-/// A `HashMap` using [`FxHasher`]; drop-in for the simulator's internal
-/// integer-keyed maps.
-pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+/// A `HashMap` using [`FxHasher`]; drop-in for internal integer-keyed
+/// maps that are never iterated into output.
+pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
 
     #[test]
     fn equal_keys_hash_equal_and_lookups_work() {
@@ -96,6 +102,22 @@ mod tests {
         };
         assert_eq!(hash(42), hash(42));
         assert_ne!(hash(42), hash(43));
+    }
+
+    #[test]
+    fn shared_slice_keys_are_found_by_borrowed_slices() {
+        // The explorer stores each product key once, as an `Rc<[u32]>`
+        // shared by its state pool and this index, and probes with plain
+        // `&[u32]` buffers: the borrowed form must hash like the owned one.
+        let mut map: FastMap<Rc<[u32]>, u32> = FastMap::default();
+        for (id, key) in [[0u32, 3, 1], [0, 0, 0], [7, 1, 0]].iter().enumerate() {
+            map.insert(Rc::from(&key[..]), id as u32);
+        }
+        let probe: Vec<u32> = vec![7, 1, 0];
+        assert_eq!(map.get(probe.as_slice()), Some(&2));
+        assert_eq!(map.get(&[0u32, 0, 0][..]), Some(&1));
+        assert_eq!(map.get(&[0u32, 3][..]), None);
+        assert_eq!(map.get(&[0u32, 3, 1, 0][..]), None);
     }
 
     #[test]
