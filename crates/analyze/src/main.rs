@@ -76,10 +76,20 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let (max_states, users) = match (
+        flag_usize(&args, "max-states", 200_000),
+        flag_usize(&args, "users", 3),
+    ) {
+        (Ok(max_states), Ok(users)) => (max_states, users),
+        (Err(err), _) | (_, Err(err)) => {
+            eprintln!("{err}");
+            return ExitCode::FAILURE;
+        }
+    };
     let options = ServicePassOptions {
         reduction,
         symmetry,
-        max_states: flag_usize(&args, "max-states", 200_000),
+        max_states,
         engine,
         backend,
         ..ServicePassOptions::default()
@@ -89,7 +99,6 @@ fn main() -> ExitCode {
     if args.iter().any(|a| a == "--fixtures") {
         targets.extend(fixtures::expected_codes().into_iter().map(|(t, _)| t));
     }
-    let users = flag_usize(&args, "users", 3);
     if users != 3 {
         scale_floor_targets(&mut targets, users as u64);
     }

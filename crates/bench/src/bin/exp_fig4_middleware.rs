@@ -18,7 +18,7 @@ use svckit::netsim::LinkConfig;
 use svckit_bench::{fmt_f, print_header, print_row};
 use svckit_sweep::{
     check_flags, default_threads, flag_usize, flag_value, obs_flags, run_sweep, shards_flag,
-    trace_flags, verbosity, SweepSpec,
+    trace_flags, usage_exit, verbosity, SweepSpec,
 };
 
 /// Flags that take a value.
@@ -40,13 +40,16 @@ const USAGE: &str =
        [--obs-out PATH] [--obs-format jsonl|chrome]
        [--trace-out PATH] [--trace-summary PATH] [--quiet | -v | --verbose]";
 
+/// Exits with the usage error `err` (status 2).
+fn usage<T>(err: String) -> T {
+    usage_exit(&err, USAGE)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(err) = check_flags(&args, &VALUED, &SWITCHES) {
-        eprintln!("error: {err}\n\n{USAGE}");
-        std::process::exit(2);
-    }
-    let threads = flag_usize(&args, "threads", default_threads());
+    check_flags(&args, &VALUED, &SWITCHES).unwrap_or_else(usage);
+    let threads = flag_usize(&args, "threads", default_threads()).unwrap_or_else(usage);
+    let shards = shards_flag(&args).unwrap_or_else(usage);
     let out = flag_value(&args, "out").unwrap_or_else(|| "SWEEP_fig4_middleware.json".to_owned());
 
     println!("E2 — middleware-centred solutions (Figure 4)\n");
@@ -69,7 +72,7 @@ fn main() {
     if let Some(needle) = flag_value(&args, "filter") {
         spec = spec.filter(needle);
     }
-    if let Some(shards) = shards_flag(&args) {
+    if let Some(shards) = shards {
         // Sweep JSON is byte-identical across shard counts >= 2: link
         // randomness is per-pair, so partitioning cannot change it. The
         // E2 links are jittered, so shards >= 2 draw a different (equally
@@ -245,7 +248,7 @@ fn main() {
                     .seed(108)
                     .time_cap(Duration::from_secs(300)),
             );
-        if let Some(shards) = shards_flag(&args) {
+        if let Some(shards) = shards {
             trace_spec = trace_spec.shards(shards);
         }
         let trace_report = run_sweep(&trace_spec, threads);

@@ -12,12 +12,13 @@ use svckit::model::Duration;
 use svckit::netsim::LinkConfig;
 use svckit_bench::{fmt_f, print_header, print_row};
 use svckit_sweep::{
-    default_threads, flag_usize, flag_value, obs_flags, run_sweep, verbosity, SweepSpec,
+    default_threads, flag_usize, flag_value, obs_flags, run_sweep, usage_exit, verbosity, SweepSpec,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = flag_usize(&args, "threads", default_threads());
+    let threads =
+        flag_usize(&args, "threads", default_threads()).unwrap_or_else(|e| usage_exit(&e, ""));
     let out = flag_value(&args, "out").unwrap_or_else(|| "SWEEP_fig6_protocol.json".to_owned());
 
     println!("E4 — protocol-centred solutions (Figure 6)\n");

@@ -17,7 +17,8 @@ use svckit::mda::{catalog, transform, QosSpec, TransformPolicy};
 use svckit::model::Duration;
 use svckit_bench::{fmt_f, print_header, print_row};
 use svckit_sweep::{
-    default_threads, flag_usize, flag_value, obs_flags, run_sweep, verbosity, CellResult, SweepSpec,
+    default_threads, flag_usize, flag_value, obs_flags, run_sweep, usage_exit, verbosity,
+    CellResult, SweepSpec,
 };
 
 fn run_selection(label: &str, qos: &QosSpec, measured: &[(&CellResult, usize)]) {
@@ -76,7 +77,8 @@ fn run_selection(label: &str, qos: &QosSpec, measured: &[(&CellResult, usize)]) 
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = flag_usize(&args, "threads", default_threads());
+    let threads =
+        flag_usize(&args, "threads", default_threads()).unwrap_or_else(|e| usage_exit(&e, ""));
     let out =
         flag_value(&args, "out").unwrap_or_else(|| "SWEEP_platform_selection.json".to_owned());
 

@@ -36,8 +36,8 @@ use svckit::netsim::{Context, LinkConfig, Process, QueueBackend, SimConfig, Simu
 use svckit::obs::with_recorder;
 use svckit_bench::scale::{run_scale_soak, ScaleConfig};
 use svckit_sweep::{
-    chrome_trace, default_threads, flag_usize, flag_value, obs_flags, run_sweep, verbosity,
-    JsonWriter, LddStats, ObsFormat, PorStats, Recorder, SweepSpec, SymStats,
+    chrome_trace, default_threads, flag_usize, flag_value, obs_flags, run_sweep, usage_exit,
+    verbosity, JsonWriter, LddStats, ObsFormat, PorStats, Recorder, SweepSpec, SymStats,
 };
 
 use std::hint::black_box;
@@ -262,7 +262,8 @@ fn netsim_sliced_report() {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let out_path = flag_value(&args, "out").unwrap_or_else(|| "BENCH_hotpath.json".to_owned());
-    let threads = flag_usize(&args, "threads", default_threads());
+    let threads =
+        flag_usize(&args, "threads", default_threads()).unwrap_or_else(|e| usage_exit(&e, ""));
     let verbose = verbosity(&args);
     let mut results: Vec<(&str, f64)> = Vec::new();
     let mut record = |name: &'static str, ns: f64| {

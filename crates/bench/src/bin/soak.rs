@@ -50,8 +50,8 @@ use svckit::netsim::{DeterministicRng, LinkConfig};
 use svckit::protocol::ReliabilityConfig;
 use svckit_bench::scale::{run_scale_soak, ScaleConfig};
 use svckit_sweep::{
-    default_threads, flag_usize, flag_value, obs_flags, run_sweep, shards_flag, verbosity,
-    SweepReport, SweepSpec,
+    default_threads, flag_usize, flag_value, obs_flags, run_sweep, shards_flag, usage_exit,
+    verbosity, SweepReport, SweepSpec,
 };
 
 /// Derives one fault campaign from a seed: a partition of a random node
@@ -111,10 +111,10 @@ fn audit(report: &SweepReport) -> (usize, usize) {
 fn run_scale_mode(args: &[String], clients: u64) -> ! {
     let cfg = ScaleConfig {
         clients,
-        servers: flag_usize(args, "servers", 4) as u64,
-        rounds: flag_usize(args, "rounds", 2) as u32,
-        shards: flag_usize(args, "shards", 1) as u32,
-        seed: flag_usize(args, "seed", 42) as u64,
+        servers: flag_usize(args, "servers", 4).unwrap_or_else(usage) as u64,
+        rounds: flag_usize(args, "rounds", 2).unwrap_or_else(usage) as u32,
+        shards: shards_flag(args).unwrap_or_else(usage).unwrap_or(1),
+        seed: flag_usize(args, "seed", 42).unwrap_or_else(usage) as u64,
     };
     println!(
         "scale soak: {} clients x {} rounds over {} servers, {} shard(s)",
@@ -144,16 +144,22 @@ fn run_scale_mode(args: &[String], clients: u64) -> ! {
     std::process::exit(0);
 }
 
+/// Exits with the usage error `err` (status 2).
+fn usage<T>(err: String) -> T {
+    usage_exit(&err, "")
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(clients) = flag_value(&args, "clients") {
         let clients: u64 = clients
             .parse()
-            .unwrap_or_else(|_| panic!("--clients expects a number, got {clients:?}"));
+            .unwrap_or_else(|_| usage(format!("--clients expects a number, got {clients:?}")));
         run_scale_mode(&args, clients);
     }
-    let seeds = flag_usize(&args, "seeds", 8) as u64;
-    let threads = flag_usize(&args, "threads", default_threads());
+    let seeds = flag_usize(&args, "seeds", 8).unwrap_or_else(usage) as u64;
+    let threads = flag_usize(&args, "threads", default_threads()).unwrap_or_else(usage);
+    let shards = shards_flag(&args).unwrap_or_else(usage);
     let out = flag_value(&args, "out").unwrap_or_else(|| "SWEEP_soak.json".to_owned());
     let verbose = verbosity(&args);
 
@@ -189,7 +195,7 @@ fn main() {
         spec = spec.filter(needle.clone());
         reliable_spec = reliable_spec.filter(needle);
     }
-    if let Some(shards) = shards_flag(&args) {
+    if let Some(shards) = shards {
         // Campaign cells stay byte-identical under any shard count; the
         // flag exists so CI can prove it on the full fault grid too.
         spec = spec.shards(shards);

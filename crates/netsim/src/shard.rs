@@ -1,22 +1,37 @@
-//! The conservative-lookahead sharded simulation engine.
+//! The dispatch core of both engines, and the windowed runner.
 //!
-//! Selected by [`SimConfig::shards`] ≥ 2. Nodes are partitioned over `S`
-//! shards; each shard owns its own event queue (timer wheel or heap),
-//! clock, RNG streams, timer table, and metrics, and runs on its own
-//! scoped thread. The shards advance in lock-step *windows*:
+//! A [`Shard`] owns a subset of the nodes and every piece of state their
+//! handlers can touch: its event queue (timer wheel or heap), clock, RNG
+//! streams, timer table, trace sink and metrics. It is the simulator's
+//! one implementation of the link model, timers, scheduling and
+//! dispatch. [`Simulator`] runs shards under one of two runners, chosen
+//! by [`SimConfig::shards`]:
 //!
-//! 1. **Exchange** — every shard drains its inbound mailboxes (one
-//!    `Mutex<Vec<_>>` per ordered shard pair, written only by the source
-//!    shard, drained only by the destination) into its local queue, then
-//!    publishes the firing instant of its earliest pending event.
-//! 2. **Agree** — after a barrier, every shard independently computes the
-//!    same global minimum `T` over the published instants. If no shard
-//!    has work, or `T` is past the run deadline, the run stops.
-//! 3. **Advance** — each shard processes its local events with firing
-//!    instant in `[T, T + W)`, where the *lookahead* `W` is the minimum
-//!    link latency in the current topology. Sends to nodes on other
-//!    shards are filed into the pairwise mailboxes; the next window picks
-//!    them up.
+//! * **Serial** (`shards ≤ 1`): one shard owns every node and runs on the
+//!   caller's thread ([`Shard::run_serial`]) — pop the next same-instant,
+//!   same-target run of events, dispatch it, repeat until the queue
+//!   drains or the next event is past the deadline. No thread, barrier or
+//!   mailbox; zero-latency links are fine.
+//! * **Windowed** (`shards ≥ 2`): nodes are partitioned over `S` shards,
+//!   each on its own scoped thread ([`run_windowed`]), advancing in
+//!   lock-step *windows*:
+//!   1. **Exchange** — every shard drains its inbound mailboxes (one
+//!      `Mutex<Vec<_>>` per ordered shard pair, written only by the source
+//!      shard, drained only by the destination) into its local queue,
+//!      then publishes the firing instant of its earliest pending event.
+//!   2. **Agree** — after a barrier, every shard independently computes
+//!      the same global minimum `T` over the published instants. If no
+//!      shard has work, or `T` is past the run deadline, the run stops.
+//!   3. **Advance** — each shard processes its local events with firing
+//!      instant in `[T, T + W)`, where the *lookahead* `W` is the minimum
+//!      link latency in the current topology. Sends to nodes on other
+//!      shards are filed into the pairwise mailboxes; the next window
+//!      picks them up.
+//!
+//! The engines differ in two pieces of data, not in code: the link-RNG
+//! layout ([`LinkRng`], the only semantic difference) and the trace sink
+//! ([`TraceSink`]: straight into the merged trace, or a per-shard spool
+//! merged after the join).
 //!
 //! # Why the lookahead bound is safe
 //!
@@ -29,7 +44,7 @@
 //! beyond the window every shard is currently processing. No shard can
 //! ever receive an event in its past, which is exactly the conservative
 //! PDES (Chandy–Misra style) safety condition; `W = 0` is rejected as
-//! [`SimError::ZeroLookahead`] because windows would have zero width.
+//! [`SimError::ZeroLookahead`](crate::sim::SimError::ZeroLookahead) because windows would have zero width.
 //!
 //! # Why the output is identical for every shard count ≥ 2
 //!
@@ -45,30 +60,31 @@
 //!   placement of the other nodes.
 //! * Link randomness (loss, duplication, jitter) is drawn from a
 //!   dedicated per-directed-pair stream seeded from `(seed, from, to)`,
-//!   advanced in the sender's dispatch order. Node randomness
-//!   ([`Context::rand_u64`]) comes from the same per-node streams as the
-//!   single engine.
+//!   advanced in the sender's dispatch order ([`LinkRng::PerPair`]).
+//!   Node randomness ([`Context::rand_u64`]) comes from per-node streams
+//!   on both engines.
 //! * Metrics are sums of per-shard counters; the merged trace is sorted
 //!   by `(time, start-phase, dispatching event key, record index)` —
 //!   both aggregations are independent of which shard computed what.
 //!
 //! # Relation to `shards = 1`
 //!
-//! The single engine draws link randomness from one global stream in
-//! global event order, which no partition can reproduce; on *lossy or
-//! jittered* links the sharded engine is therefore a (deterministic)
-//! different sample of the same distribution. On deterministic links —
-//! zero jitter, loss 0 or 1, no duplication — no link randomness is ever
-//! consumed, node RNG streams coincide, and both engines share one event
-//! order, so `shards = 1` and `shards = N` produce byte-identical
-//! reports. That envelope is what the sharded goldens, the oracle suite
-//! in `tests/shard_oracle.rs`, and the CI `--shards 4` vs `--shards 1`
-//! `cmp` step pin down.
+//! The serial engine draws link randomness from one global stream in
+//! global event order ([`LinkRng::Global`]), which no partition can
+//! reproduce; on *lossy or jittered* links the windowed engine is
+//! therefore a (deterministic) different sample of the same
+//! distribution. On deterministic links — zero jitter, loss 0 or 1, no
+//! duplication — the global stream's draws never influence an outcome,
+//! node RNG streams coincide, and both engines share one event order, so
+//! `shards = 1` and `shards = N` produce byte-identical reports. That
+//! envelope is what the sharded goldens, the oracle suite in
+//! `tests/shard_oracle.rs`, and the CI `--shards 4` vs `--shards 1` `cmp`
+//! step pin down.
 //!
+//! [`Simulator`]: crate::sim::Simulator
 //! [`SimConfig::shards`]: crate::sim::SimConfig::shards
 //! [`Context::rand_u64`]: crate::sim::Context::rand_u64
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
@@ -79,12 +95,17 @@ use svckit_obs::TraceCtx;
 use crate::metrics::NetMetrics;
 use crate::rng::DeterministicRng;
 use crate::sim::{
-    node_seed, provenance_key, Action, Context, EventKind, EventQueue, LinkTable, NodeTracer,
-    Payload, Process, Scheduled, SimConfig, SimError, SimReport, TimerId, TraceBuf, TraceDest,
+    provenance_key, Action, Context, EventKind, EventQueue, LinkTable, NodeTracer, Payload,
+    Process, Scheduled, SimConfig, TimerId, TraceBuf, TraceSink,
 };
 
 /// Sentinel published by a shard with an empty queue.
 const IDLE: u64 = u64::MAX;
+
+/// Seed of node `id`'s own random stream ([`Context::rand_u64`]).
+fn node_seed(seed: u64, id: PartId) -> u64 {
+    seed.wrapping_add(id.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15)) ^ 0x5851_F42D_4C95_7F2D
+}
 
 /// Seed of the dedicated RNG stream for link draws on the directed pair
 /// `from → to`. Distinct multipliers keep `(a, b)` and `(b, a)` apart.
@@ -94,10 +115,64 @@ fn pair_seed(seed: u64, from: PartId, to: PartId) -> u64 {
         ^ 0x94D0_49BB_1331_11EB
 }
 
-/// One spooled trace record with the sort key that reproduces the global
-/// single-engine insertion order: records from the start phase come
-/// first (in node order), then records grouped by the event that was
-/// being dispatched, in that event's total-order position.
+/// Where a shard draws link randomness (loss, duplication, jitter) from.
+/// This layout is the one semantic difference between the engines.
+#[derive(Debug)]
+enum LinkRng {
+    /// Serial engine: one stream for the whole simulation, advanced in
+    /// global event order. Every send draws a loss and a duplication
+    /// coin ([`DeterministicRng::coin`] itself skips the draw at
+    /// probability 0 or 1), and every copy draws one jitter value, even
+    /// at zero jitter.
+    Global(DeterministicRng),
+    /// Windowed engine: one stream per directed pair, created on first
+    /// draw, advanced in the sender's dispatch order. Draws only when a
+    /// probability lies strictly between 0 and 1 or the jitter is
+    /// positive, so fully deterministic links never create a stream.
+    PerPair {
+        seed: u64,
+        streams: FastMap<(PartId, PartId), DeterministicRng>,
+    },
+}
+
+impl LinkRng {
+    fn pair(
+        seed: u64,
+        streams: &mut FastMap<(PartId, PartId), DeterministicRng>,
+        from: PartId,
+        to: PartId,
+    ) -> &mut DeterministicRng {
+        streams
+            .entry((from, to))
+            .or_insert_with(|| DeterministicRng::new(pair_seed(seed, from, to)))
+    }
+
+    /// A Bernoulli trial with probability `p` for the pair `from → to`.
+    fn coin(&mut self, from: PartId, to: PartId, p: f64) -> bool {
+        match self {
+            LinkRng::Global(rng) => rng.coin(p),
+            LinkRng::PerPair { seed, streams } => {
+                p > 0.0 && Self::pair(*seed, streams, from, to).coin(p)
+            }
+        }
+    }
+
+    /// A jitter draw in `[0, bound)` µs for the pair `from → to`.
+    fn jitter(&mut self, from: PartId, to: PartId, bound: u64) -> u64 {
+        match self {
+            LinkRng::Global(rng) => rng.next_below(bound),
+            LinkRng::PerPair { seed, streams } if bound > 1 => {
+                Self::pair(*seed, streams, from, to).next_below(bound)
+            }
+            LinkRng::PerPair { .. } => 0,
+        }
+    }
+}
+
+/// One spooled trace record with the sort key that reproduces the serial
+/// engine's insertion order: records from the start phase come first (in
+/// node order), then records grouped by the event that was being
+/// dispatched, in that event's total-order position.
 #[derive(Debug)]
 struct SpooledRecord {
     time_us: u64,
@@ -107,8 +182,8 @@ struct SpooledRecord {
     event: PrimitiveEvent,
 }
 
-/// Per-shard spool of service primitives recorded during a run, merged
-/// into the shared [`TraceBuf`] after the worker threads join.
+/// Per-shard spool of service primitives recorded during a windowed run,
+/// merged into the shared [`TraceBuf`] after the worker threads join.
 #[derive(Debug, Default)]
 pub(crate) struct ShardTrace {
     records: Vec<SpooledRecord>,
@@ -119,7 +194,7 @@ pub(crate) struct ShardTrace {
 }
 
 impl ShardTrace {
-    /// Called by the engine before every handler invocation.
+    /// Called by the shard before every handler invocation.
     fn begin_dispatch(&mut self, time_us: u64, phase: u8, dispatch_key: u128) {
         self.time_us = time_us;
         self.phase = phase;
@@ -139,59 +214,92 @@ impl ShardTrace {
     }
 }
 
-const PHASE_START: u8 = 0;
+pub(crate) const PHASE_START: u8 = 0;
 const PHASE_EVENT: u8 = 1;
 
+/// A node bound to a shard: its process and its private per-node state.
+struct Node {
+    process: Box<dyn Process>,
+    /// The node's own random stream ([`Context::rand_u64`]), derived from
+    /// the seed and the node id only. Application-level draws (workload
+    /// choices) are therefore independent of network-level draws (jitter,
+    /// loss) and of other nodes — the same workload unfolds identically
+    /// over any protocol, platform or partition.
+    rng: DeterministicRng,
+    /// Trace-id mint and open-request slot. Owned by the shard (not the
+    /// per-run worker recorder), so ids persist across run slices; a
+    /// node's dispatch order is shard-invariant, so every shard count
+    /// mints identical ids (see [`NodeTracer`]).
+    tracer: NodeTracer,
+}
+
 /// One shard: a vertical slice of the simulation owning a subset of the
-/// nodes and every piece of state their handlers can touch.
-struct Shard {
+/// nodes and every piece of state their handlers can touch. The serial
+/// engine is a single shard owning every node.
+pub(crate) struct Shard {
     index: u32,
-    seed: u64,
     /// Last locally processed firing instant.
-    clock: Instant,
-    queue: EventQueue,
-    procs: FastMap<PartId, Box<dyn Process>>,
-    node_rngs: FastMap<PartId, DeterministicRng>,
-    /// Per-directed-pair link RNG streams, created lazily on first draw.
-    pair_rngs: FastMap<(PartId, PartId), DeterministicRng>,
+    pub(crate) clock: Instant,
+    pub(crate) queue: EventQueue,
+    nodes: FastMap<PartId, Node>,
+    link_rng: LinkRng,
+    // The per-event maps below use the deterministic `FastMap` hasher;
+    // none of them is ever iterated, so the hash function affects lookup
+    // cost only, never observable order.
     /// Per-node counts of scheduled events, feeding `provenance_key`.
     sched_counts: FastMap<PartId, u64>,
+    /// Per-node timer generations, nested so one node's huge timer table
+    /// (e.g. a standing backlog of lease expiries) cannot dilute the cache
+    /// locality of another node's hot few timers.
     timer_generation: FastMap<PartId, FastMap<TimerId, u64>>,
-    /// Per-node trace-id mints and open-request slots. Owned by the shard
-    /// (not the per-run worker recorder), so ids persist across run
-    /// slices; a node's dispatch order is shard-invariant, so every shard
-    /// count mints identical ids (see [`NodeTracer`]).
-    tracers: FastMap<PartId, NodeTracer>,
     last_arrival: FastMap<(PartId, PartId), Instant>,
+    /// For bandwidth-limited links: when the sender side of each directed
+    /// pair becomes free again.
     link_busy_until: FastMap<(PartId, PartId), Instant>,
-    metrics: NetMetrics,
-    trace: ShardTrace,
+    pub(crate) metrics: NetMetrics,
+    pub(crate) trace: TraceSink,
+    /// Reused across dispatches so the hot path does not allocate a fresh
+    /// action vector per event.
     action_buf: Vec<Action>,
+    /// Reused batch buffer for [`EventQueue::pop_run`].
     run_buf: Vec<Scheduled>,
     /// Cross-shard sends produced by the current window, flushed into the
     /// pairwise mailboxes before the next exchange barrier.
-    outgoing: Vec<(u32, Scheduled)>,
-    events_processed: u64,
-    peak_queue_len: usize,
+    pub(crate) outgoing: Vec<(u32, Scheduled)>,
+    pub(crate) events_processed: u64,
+    pub(crate) peak_queue_len: usize,
 }
 
 impl Shard {
-    fn new(index: u32, seed: u64, backend: crate::sim::QueueBackend) -> Self {
+    /// Shard `index` of `config.shard_count()`. A lone shard is the serial
+    /// engine: global link stream, trace straight into the merged buffer.
+    pub(crate) fn new(index: u32, config: &SimConfig) -> Self {
+        let (link_rng, trace) = if config.shard_count() == 1 {
+            (
+                LinkRng::Global(DeterministicRng::new(config.seed())),
+                TraceSink::Merged(TraceBuf::new()),
+            )
+        } else {
+            (
+                LinkRng::PerPair {
+                    seed: config.seed(),
+                    streams: FastMap::default(),
+                },
+                TraceSink::Spool(ShardTrace::default()),
+            )
+        };
         Shard {
             index,
-            seed,
             clock: Instant::ZERO,
-            queue: EventQueue::new(backend),
-            procs: FastMap::default(),
-            node_rngs: FastMap::default(),
-            pair_rngs: FastMap::default(),
+            queue: EventQueue::new(config.queue()),
+            nodes: FastMap::default(),
+            link_rng,
             sched_counts: FastMap::default(),
             timer_generation: FastMap::default(),
-            tracers: FastMap::default(),
             last_arrival: FastMap::default(),
             link_busy_until: FastMap::default(),
             metrics: NetMetrics::new(),
-            trace: ShardTrace::default(),
+            trace,
             action_buf: Vec::new(),
             run_buf: Vec::new(),
             outgoing: Vec::new(),
@@ -200,11 +308,30 @@ impl Shard {
         }
     }
 
+    /// Takes ownership of node `id`'s process.
+    pub(crate) fn bind(&mut self, seed: u64, id: PartId, process: Box<dyn Process>) {
+        let node = Node {
+            process,
+            rng: DeterministicRng::new(node_seed(seed, id)),
+            tracer: NodeTracer::default(),
+        };
+        self.nodes.insert(id, node);
+    }
+
+    /// Mints the next trace id of node `id`, which is bound here.
+    fn mint(&mut self, id: PartId) -> u64 {
+        self.nodes
+            .get_mut(&id)
+            .expect("a dispatching node is bound to its shard")
+            .tracer
+            .mint(id)
+    }
+
     /// Runs one handler and applies its actions. `dispatch_key` is the
     /// total-order position of whatever triggered the handler; it anchors
-    /// the deterministic trace merge.
+    /// the deterministic trace merge of the windowed engine.
     #[allow(clippy::too_many_arguments)]
-    fn dispatch<F>(
+    pub(crate) fn dispatch<F>(
         &mut self,
         node: PartId,
         now: Instant,
@@ -218,31 +345,30 @@ impl Shard {
         F: FnOnce(&mut dyn Process, &mut Context<'_>),
     {
         let mut actions = std::mem::take(&mut self.action_buf);
-        if let Some(process) = self.procs.get_mut(&node) {
-            let rng = self
-                .node_rngs
-                .get_mut(&node)
-                .expect("node rng created with the process");
-            self.trace
-                .begin_dispatch(now.as_micros(), phase, dispatch_key);
+        if let Some(bound) = self.nodes.get_mut(&node) {
+            if let TraceSink::Spool(spool) = &mut self.trace {
+                spool.begin_dispatch(now.as_micros(), phase, dispatch_key);
+            }
             let mut ctx = Context {
                 now,
                 id: node,
                 actions: &mut actions,
-                rng,
-                trace: TraceDest::Shard(&mut self.trace),
+                rng: &mut bound.rng,
+                trace: &mut self.trace,
                 cur_trace: trace_ctx,
-                tracer: self.tracers.entry(node).or_default(),
+                tracer: &mut bound.tracer,
             };
-            call(process.as_mut(), &mut ctx);
+            call(bound.process.as_mut(), &mut ctx);
         }
         self.apply_actions(node, now, &mut actions, registry, links);
+        // Hand the (now empty) buffer back for the next dispatch, keeping
+        // its capacity.
         self.action_buf = actions;
     }
 
-    /// The sharded twin of `SingleSim::apply_actions`: identical link
-    /// semantics, but link randomness comes from the per-pair stream and
-    /// cross-shard deliveries are routed through `outgoing`.
+    /// Applies a handler's actions: the link model (loss, duplication,
+    /// serialization, jitter, FIFO clamp), timer arming and cancelling,
+    /// and the net-layer trace spans.
     fn apply_actions(
         &mut self,
         node: PartId,
@@ -266,6 +392,8 @@ impl Shard {
                         svckit_obs::obs_count!("net.undeliverable");
                         continue;
                     };
+                    // Copy the link's scalar parameters out instead of
+                    // cloning the whole `LinkConfig` per send.
                     let link = links.link_for(node, to);
                     let loss = link.loss();
                     let duplicate_p = link.duplicate();
@@ -273,18 +401,14 @@ impl Shard {
                     let jitter_bound = link.jitter().as_micros() + 1;
                     let ordered = link.is_ordered();
                     let transmission = link.transmission_time(payload.len());
-                    // `coin` never draws for probabilities 0 and 1, and a
-                    // jitter bound of 1 µs always yields 0 — so on fully
-                    // deterministic links the pair stream is never even
-                    // created, which is what makes the single engine's
-                    // global stream irrelevant there.
-                    if loss > 0.0 && self.pair_rng(node, to).coin(loss) {
+                    if self.link_rng.coin(node, to, loss) {
                         self.metrics.record_drop();
                         svckit_obs::obs_count!("net.drops");
                         match ctx {
-                            // Root-parented for the same reason as the
-                            // single engine: resends carry the original
-                            // send's context.
+                            // Parent at the trace root, not the carried
+                            // span: a retransmitted frame keeps its
+                            // originating send's context, whose delivery
+                            // span closed long before the resend.
                             Some(t) => svckit_obs::obs_event!(
                                 "net.drop",
                                 "net",
@@ -300,12 +424,15 @@ impl Shard {
                         }
                         continue;
                     }
-                    let duplicate = duplicate_p > 0.0 && self.pair_rng(node, to).coin(duplicate_p);
+                    let duplicate = self.link_rng.coin(node, to, duplicate_p);
                     let copies = if duplicate { 2 } else { 1 };
                     if duplicate {
                         self.metrics.record_duplicate();
                         svckit_obs::obs_count!("net.duplicates");
                     }
+                    // Serialization: a bandwidth-limited link is occupied
+                    // for the message's transmission time; back-to-back
+                    // sends queue behind it.
                     let mut depart = now;
                     if transmission > Duration::ZERO {
                         let busy = self
@@ -322,7 +449,7 @@ impl Shard {
                     // bandwidth backlog) is its own attributable segment.
                     if let Some(t) = ctx {
                         if depart > now {
-                            let qid = self.tracers.entry(node).or_default().mint(node);
+                            let qid = self.mint(node);
                             svckit_obs::obs_span!(
                                 svckit_obs::trace::SPAN_QUEUE_WAIT,
                                 "net",
@@ -339,11 +466,8 @@ impl Shard {
                     let payload_len = payload.len();
                     let mut payload = Some(payload);
                     for copy in 0..copies {
-                        let jitter = if jitter_bound > 1 {
-                            Duration::from_micros(self.pair_rng(node, to).next_below(jitter_bound))
-                        } else {
-                            Duration::ZERO
-                        };
+                        let jitter =
+                            Duration::from_micros(self.link_rng.jitter(node, to, jitter_bound));
                         let mut at = depart + latency + jitter;
                         if ordered {
                             let last = self.last_arrival.entry((node, to)).or_insert(Instant::ZERO);
@@ -352,6 +476,8 @@ impl Shard {
                             }
                             *last = at;
                         }
+                        // Transit = serialization queueing + transmission +
+                        // propagation + jitter, all in virtual time.
                         svckit_obs::obs_link!(
                             node.raw(),
                             to.raw(),
@@ -363,7 +489,7 @@ impl Shard {
                                 // Each copy gets its own transit span, so
                                 // duplicated deliveries stay distinguishable
                                 // in the flame graph.
-                                let sid = self.tracers.entry(node).or_default().mint(node);
+                                let sid = self.mint(node);
                                 let span_name = if retransmit {
                                     svckit_obs::trace::SPAN_RETRANSMIT
                                 } else {
@@ -393,6 +519,9 @@ impl Shard {
                                 None
                             }
                         };
+                        // The last copy takes ownership: un-duplicated sends
+                        // (the overwhelmingly common case) never touch the
+                        // payload's reference count at all.
                         let payload = if copy + 1 == copies {
                             payload.take().expect("one payload per copy loop")
                         } else {
@@ -436,6 +565,7 @@ impl Shard {
                     );
                 }
                 Action::CancelTimer { id } => {
+                    // Bumping the generation invalidates any pending firing.
                     self.timer_generation
                         .entry(node)
                         .or_default()
@@ -445,13 +575,6 @@ impl Shard {
                 }
             }
         }
-    }
-
-    fn pair_rng(&mut self, from: PartId, to: PartId) -> &mut DeterministicRng {
-        let seed = self.seed;
-        self.pair_rngs
-            .entry((from, to))
-            .or_insert_with(|| DeterministicRng::new(pair_seed(seed, from, to)))
     }
 
     /// Stamps the event with its provenance key and files it locally or
@@ -475,7 +598,8 @@ impl Shard {
         }
     }
 
-    /// Dispatches one popped event (clock, metrics, obs, handler).
+    /// Dispatches one popped event (clock, metrics, obs, handler). The
+    /// queue-depth sample is taken by the runner once per run of events.
     fn dispatch_event(
         &mut self,
         event: Scheduled,
@@ -505,9 +629,7 @@ impl Shard {
                     ctx,
                     registry,
                     links,
-                    |p, c| {
-                        p.on_message(c, from, payload);
-                    },
+                    |p, c| p.on_message(c, from, payload),
                 );
             }
             EventKind::Timer {
@@ -530,15 +652,55 @@ impl Shard {
                         ctx,
                         registry,
                         links,
-                        |p, c| {
-                            p.on_timer(c, id);
-                        },
+                        |p, c| p.on_timer(c, id),
                     );
                 } else {
                     svckit_obs::obs_count!("net.timer_stale");
                 }
             }
         }
+    }
+
+    /// The serial runner: runs this shard — the only one — on the
+    /// caller's thread until its queue drains (`true`) or the next event
+    /// is past `deadline` (`false`; that run of events goes back into the
+    /// queue).
+    pub(crate) fn run_serial(
+        &mut self,
+        deadline: Instant,
+        registry: &FastMap<PartId, u32>,
+        links: &LinkTable,
+    ) -> bool {
+        let mut run = std::mem::take(&mut self.run_buf);
+        let mut quiescent = true;
+        loop {
+            // Batch dispatch: pull the whole same-instant, same-target run
+            // in one queue operation and pay the bookkeeping (depth
+            // sample, watermark) once. The events still dispatch one by
+            // one, in exactly the order repeated pops would yield, because
+            // an event's actions may cancel or re-arm timers later in the
+            // same batch.
+            self.queue.pop_run(&mut run);
+            if run.is_empty() {
+                break;
+            }
+            self.peak_queue_len = self.peak_queue_len.max(self.queue.len() + run.len());
+            if run[0].at > deadline {
+                // The whole run shares one firing instant, so it goes back
+                // wholesale.
+                for event in run.drain(..) {
+                    self.queue.push(event);
+                }
+                quiescent = false;
+                break;
+            }
+            svckit_obs::obs_record!("net.queue_depth", self.queue.len());
+            for event in run.drain(..) {
+                self.dispatch_event(event, registry, links);
+            }
+        }
+        self.run_buf = run;
+        quiescent
     }
 
     /// Processes every local event with firing instant below
@@ -565,7 +727,6 @@ impl Shard {
                 self.dispatch_event(event, registry, links);
             }
         }
-        run.clear();
         self.run_buf = run;
     }
 
@@ -620,253 +781,82 @@ impl Shard {
     }
 }
 
-/// The sharded engine behind [`crate::sim::Simulator`]. See the module
-/// docs for the protocol and its guarantees.
-pub(crate) struct ShardedSim {
-    config: SimConfig,
-    clock: Instant,
-    started: bool,
-    /// Global node registry: node → owning shard. Also the authority on
-    /// which nodes exist (the undeliverable check).
-    node_shard: FastMap<PartId, u32>,
-    /// Processes staged before the first run; node → shard binding
-    /// happens once, when the full population is known.
-    staged: BTreeMap<PartId, Box<dyn Process>>,
-    shards: Vec<Shard>,
-    links: LinkTable,
-    trace: TraceBuf,
-}
+/// The windowed runner: runs `shards` (two or more) in lock-step windows
+/// of width `lookahead` (positive; see the module docs) until every queue
+/// drains or the next event is past `deadline`, then appends the spooled
+/// trace records to `merged` in the serial engine's order.
+pub(crate) fn run_windowed(
+    shards: &mut [Shard],
+    registry: &FastMap<PartId, u32>,
+    links: &LinkTable,
+    lookahead: Duration,
+    deadline: Instant,
+    merged: &mut TraceBuf,
+) {
+    let shard_count = shards.len();
+    let barrier = Barrier::new(shard_count);
+    let next_at: Vec<AtomicU64> = (0..shard_count).map(|_| AtomicU64::new(IDLE)).collect();
+    let outboxes: Vec<Vec<Mutex<Vec<Scheduled>>>> = (0..shard_count)
+        .map(|_| (0..shard_count).map(|_| Mutex::new(Vec::new())).collect())
+        .collect();
+    let lookahead_us = lookahead.as_micros();
 
-impl ShardedSim {
-    pub(crate) fn new(config: SimConfig) -> Self {
-        let shard_count = config.shard_count();
-        let shards = (0..shard_count)
-            .map(|i| Shard::new(i, config.seed(), config.queue()))
-            .collect();
-        let links = LinkTable::new(config.default_link.clone());
-        ShardedSim {
-            config,
-            clock: Instant::ZERO,
-            started: false,
-            node_shard: FastMap::default(),
-            staged: BTreeMap::new(),
-            shards,
-            links,
-            trace: TraceBuf::new(),
-        }
-    }
-
-    pub(crate) fn add_process(
-        &mut self,
-        id: PartId,
-        process: Box<dyn Process>,
-    ) -> Result<(), SimError> {
-        if self.staged.contains_key(&id) || self.node_shard.contains_key(&id) {
-            return Err(SimError::DuplicateNode(id));
-        }
-        if self.started {
-            // Late registration (after the first run): bind immediately,
-            // round-robin over the shards. Mirrors the single engine,
-            // where a late process gets no `on_start` either.
-            let shard = (self.node_shard.len() as u32) % self.shard_count();
-            self.bind(id, process, shard);
-        } else {
-            self.staged.insert(id, process);
-        }
-        Ok(())
-    }
-
-    fn bind(&mut self, id: PartId, process: Box<dyn Process>, shard: u32) {
-        self.node_shard.insert(id, shard);
-        let s = &mut self.shards[shard as usize];
-        s.node_rngs
-            .insert(id, DeterministicRng::new(node_seed(self.config.seed(), id)));
-        s.procs.insert(id, process);
-    }
-
-    pub(crate) fn links_mut(&mut self) -> &mut LinkTable {
-        &mut self.links
-    }
-
-    pub(crate) fn now(&self) -> Instant {
-        self.clock
-    }
-
-    pub(crate) fn shard_count(&self) -> u32 {
-        self.shards.len() as u32
-    }
-
-    pub(crate) fn process_count(&self) -> usize {
-        self.staged.len() + self.node_shard.len()
-    }
-
-    pub(crate) fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.events_processed).sum()
-    }
-
-    pub(crate) fn peak_queue_len(&self) -> usize {
-        self.shards.iter().map(|s| s.peak_queue_len).sum()
-    }
-
-    /// Binds staged processes to shards (sorted node order, round-robin)
-    /// and runs every `on_start` serially in global node order — the same
-    /// order the single engine uses, so startup actions interleave
-    /// identically.
-    fn start_if_needed(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        let staged = std::mem::take(&mut self.staged);
-        let count = self.shard_count();
-        for (i, (id, process)) in staged.into_iter().enumerate() {
-            self.bind(id, process, (i as u32) % count);
-        }
-        let mut ids: Vec<PartId> = self.node_shard.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let shard = self.node_shard[&id] as usize;
-            // Anchor start-phase trace records at (t=0, node, 0) so the
-            // merge reproduces the single engine's node-order startup.
-            let dispatch_key = provenance_key(Instant::ZERO, id, 0);
-            let (shard, registry, links) = {
-                // Split borrows: the dispatched shard is mutable, the
-                // registry and links are shared.
-                (&mut self.shards[shard], &self.node_shard, &self.links)
-            };
-            shard.dispatch(
-                id,
-                Instant::ZERO,
-                PHASE_START,
-                dispatch_key,
-                None,
-                registry,
-                links,
-                |p, ctx| p.on_start(ctx),
-            );
-            // Startup actions may target any shard; route them now, while
-            // everything is still single-threaded.
-            Self::drain_outgoing_serial(&mut self.shards, shard_index_of(&self.node_shard, id));
-        }
-    }
-
-    fn drain_outgoing_serial(shards: &mut [Shard], from: usize) {
-        if shards[from].outgoing.is_empty() {
-            return;
-        }
-        let outgoing = std::mem::take(&mut shards[from].outgoing);
-        for (target, event) in outgoing {
-            shards[target as usize].queue.push(event);
-        }
-    }
-
-    pub(crate) fn run_to_quiescence(
-        &mut self,
-        max_elapsed: Duration,
-    ) -> Result<SimReport, SimError> {
-        if self.staged.is_empty() && self.node_shard.is_empty() {
-            return Err(SimError::NoProcesses);
-        }
-        let lookahead = self.links.min_latency();
-        if lookahead == Duration::ZERO {
-            return Err(SimError::ZeroLookahead);
-        }
-        self.start_if_needed();
-        let deadline = self.clock + max_elapsed;
-        let shard_count = self.shards.len();
-
-        let barrier = Barrier::new(shard_count);
-        let next_at: Vec<AtomicU64> = (0..shard_count).map(|_| AtomicU64::new(IDLE)).collect();
-        let outboxes: Vec<Vec<Mutex<Vec<Scheduled>>>> = (0..shard_count)
-            .map(|_| (0..shard_count).map(|_| Mutex::new(Vec::new())).collect())
-            .collect();
-        let registry = &self.node_shard;
-        let links = &self.links;
-        let lookahead_us = lookahead.as_micros();
-
-        // One scoped thread per shard, re-spawned per run slice: fault
-        // injection between slices then needs no synchronization at all.
-        // Each worker records obs under its own recorder; the recorders
-        // are folded into the caller's in shard order afterwards, keeping
-        // obs output independent of thread scheduling.
-        let recorders: Vec<svckit_obs::Recorder> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .map(|shard| {
-                    let barrier = &barrier;
-                    let next_at = next_at.as_slice();
-                    let outboxes = outboxes.as_slice();
-                    scope.spawn(move || {
-                        let ((), recorder) =
-                            svckit_obs::with_recorder(svckit_obs::Recorder::new(), || {
-                                shard.worker(
-                                    barrier,
-                                    next_at,
-                                    outboxes,
-                                    registry,
-                                    links,
-                                    lookahead_us,
-                                    deadline,
-                                );
-                            });
-                        recorder
-                    })
+    // One scoped thread per shard, re-spawned per run slice: fault
+    // injection between slices then needs no synchronization at all.
+    // Each worker records obs under its own recorder; the recorders are
+    // folded into the caller's in shard order afterwards, keeping obs
+    // output independent of thread scheduling.
+    let recorders: Vec<svckit_obs::Recorder> = std::thread::scope(|scope| {
+        let handles: Vec<_> = shards
+            .iter_mut()
+            .map(|shard| {
+                let barrier = &barrier;
+                let next_at = next_at.as_slice();
+                let outboxes = outboxes.as_slice();
+                scope.spawn(move || {
+                    let ((), recorder) =
+                        svckit_obs::with_recorder(svckit_obs::Recorder::new(), || {
+                            shard.worker(
+                                barrier,
+                                next_at,
+                                outboxes,
+                                registry,
+                                links,
+                                lookahead_us,
+                                deadline,
+                            );
+                        });
+                    recorder
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        });
-        for recorder in &recorders {
-            svckit_obs::absorb_into_current(recorder);
-        }
-
-        // Deterministic trace merge: spooled records sort by
-        // (time, phase, dispatching key, record index) — the exact order
-        // the single engine would have appended them in.
-        let mut spooled: Vec<SpooledRecord> = Vec::new();
-        for shard in &mut self.shards {
-            spooled.append(&mut shard.trace.records);
-        }
-        spooled.sort_by(|a, b| {
-            (a.time_us, a.phase, a.dispatch_key, a.idx).cmp(&(
-                b.time_us,
-                b.phase,
-                b.dispatch_key,
-                b.idx,
-            ))
-        });
-        for record in spooled {
-            self.trace.push(record.event);
-        }
-
-        let quiescent = self.shards.iter_mut().all(|s| s.queue.is_empty());
-        if quiescent {
-            let last = self
-                .shards
-                .iter()
-                .map(|s| s.clock)
-                .max()
-                .unwrap_or(self.clock);
-            self.clock = self.clock.max(last);
-        } else {
-            self.clock = deadline;
-        }
-        let mut metrics = NetMetrics::new();
-        for shard in &self.shards {
-            metrics.absorb(&shard.metrics);
-        }
-        Ok(SimReport::assemble(
-            self.clock,
-            quiescent,
-            metrics,
-            self.trace.snapshot(),
-        ))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker panicked"))
+            .collect()
+    });
+    for recorder in &recorders {
+        svckit_obs::absorb_into_current(recorder);
     }
-}
 
-fn shard_index_of(registry: &FastMap<PartId, u32>, id: PartId) -> usize {
-    registry[&id] as usize
+    // Deterministic trace merge: spooled records sort by
+    // (time, phase, dispatching key, record index) — the exact order the
+    // serial engine would have appended them in.
+    let mut spooled: Vec<SpooledRecord> = Vec::new();
+    for shard in shards.iter_mut() {
+        if let TraceSink::Spool(spool) = &mut shard.trace {
+            spooled.append(&mut spool.records);
+        }
+    }
+    spooled.sort_by(|a, b| {
+        (a.time_us, a.phase, a.dispatch_key, a.idx).cmp(&(
+            b.time_us,
+            b.phase,
+            b.dispatch_key,
+            b.idx,
+        ))
+    });
+    for record in spooled {
+        merged.push(record.event);
+    }
 }

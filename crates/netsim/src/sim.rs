@@ -14,6 +14,7 @@ use svckit_obs::TraceCtx;
 use crate::link::LinkConfig;
 use crate::metrics::NetMetrics;
 use crate::rng::DeterministicRng;
+use crate::shard::{Shard, PHASE_START};
 use crate::wheel::TimerWheel;
 
 /// A message payload as it travels through the simulator.
@@ -107,20 +108,20 @@ impl NodeTracer {
     }
 }
 
-/// Where a handler's recorded primitives go: straight into the merged
-/// trace (single engine) or into the shard's local spool, merged
-/// deterministically after the run (sharded engine).
+/// Where a shard's handlers record service primitives: straight into the
+/// merged trace (serial engine) or into the shard's spool, merged
+/// deterministically after the run (windowed engine).
 #[derive(Debug)]
-pub(crate) enum TraceDest<'a> {
-    Single(&'a mut TraceBuf),
-    Shard(&'a mut crate::shard::ShardTrace),
+pub(crate) enum TraceSink {
+    Merged(TraceBuf),
+    Spool(crate::shard::ShardTrace),
 }
 
-impl TraceDest<'_> {
+impl TraceSink {
     fn push(&mut self, event: PrimitiveEvent) {
         match self {
-            TraceDest::Single(buf) => buf.push(event),
-            TraceDest::Shard(spool) => spool.push(event),
+            TraceSink::Merged(buf) => buf.push(event),
+            TraceSink::Spool(spool) => spool.push(event),
         }
     }
 }
@@ -132,7 +133,7 @@ pub struct Context<'a> {
     pub(crate) id: PartId,
     pub(crate) actions: &'a mut Vec<Action>,
     pub(crate) rng: &'a mut DeterministicRng,
-    pub(crate) trace: TraceDest<'a>,
+    pub(crate) trace: &'a mut TraceSink,
     /// The causal context of the event being dispatched (side-band from
     /// the delivering message or firing timer); inherited by every send
     /// and timer this handler issues.
@@ -493,20 +494,6 @@ impl SimReport {
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
-
-    pub(crate) fn assemble(
-        end_time: Instant,
-        quiescent: bool,
-        metrics: NetMetrics,
-        trace: Arc<Trace>,
-    ) -> Self {
-        SimReport {
-            end_time,
-            quiescent,
-            metrics,
-            trace,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -550,10 +537,6 @@ impl EventKind {
 /// matches the old global-sequence order whenever same-instant events
 /// were scheduled at different times; within one handler invocation the
 /// per-node count preserves action order exactly.
-pub(crate) fn node_seed(seed: u64, id: PartId) -> u64 {
-    seed.wrapping_add(id.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15)) ^ 0x5851_F42D_4C95_7F2D
-}
-
 pub(crate) fn provenance_key(sched_at: Instant, node: PartId, count: u64) -> u128 {
     debug_assert!(node.raw() < (1 << 32), "node id {node} exceeds 32 bits");
     debug_assert!(count < (1 << 32), "per-node schedule count overflow");
@@ -668,8 +651,7 @@ impl EventQueue {
 
 /// The per-pair link configuration of a simulated network: explicit
 /// directed links over a default, plus the saved pre-partition state
-/// that [`LinkTable::heal`] restores. Shared verbatim by the single and
-/// the sharded engine so fault semantics cannot drift between them.
+/// that [`LinkTable::heal`] restores. Read by every shard.
 #[derive(Debug)]
 pub(crate) struct LinkTable {
     pub(crate) default: LinkConfig,
@@ -746,483 +728,65 @@ impl LinkTable {
     }
 }
 
-/// The single-threaded simulation engine: one clock, one event queue,
-/// every node. This is the exact historical code path — [`Simulator`]
-/// routes to it whenever `shards <= 1` — and the reference the sharded
-/// engine is proven against.
-pub(crate) struct SingleSim {
-    config: SimConfig,
-    clock: Instant,
-    started: bool,
-    procs: BTreeMap<PartId, Box<dyn Process>>,
-    links: LinkTable,
-    // The per-event maps below use the deterministic `FastMap` hasher;
-    // none of them is ever iterated, so the hash function affects lookup
-    // cost only, never observable order.
-    last_arrival: FastMap<(PartId, PartId), Instant>,
-    /// For bandwidth-limited links: when the sender-side of each directed
-    /// pair becomes free again.
-    link_busy_until: FastMap<(PartId, PartId), Instant>,
-    queue: EventQueue,
-    rng: DeterministicRng,
-    node_rngs: FastMap<PartId, DeterministicRng>,
-    /// Per-node counts of scheduled events, feeding [`provenance_key`].
-    sched_counts: FastMap<PartId, u64>,
-    /// Per-node timer generations, nested so one node's huge timer table
-    /// (e.g. a standing backlog of lease expiries) cannot dilute the cache
-    /// locality of another node's hot few timers.
-    timer_generation: FastMap<PartId, FastMap<TimerId, u64>>,
-    /// Per-node trace-id mints and open-request slots (see [`NodeTracer`]).
-    tracers: FastMap<PartId, NodeTracer>,
-    metrics: NetMetrics,
-    trace: TraceBuf,
-    /// Reused across dispatches so the hot path does not allocate a fresh
-    /// action vector per event.
-    action_buf: Vec<Action>,
-    /// Reused batch buffer for [`EventQueue::pop_run`].
-    run_buf: Vec<Scheduled>,
-    events_processed: u64,
-    peak_queue_len: usize,
-}
-
-impl SingleSim {
-    pub(crate) fn new(config: SimConfig) -> Self {
-        let rng = DeterministicRng::new(config.seed());
-        let queue = EventQueue::new(config.queue());
-        let links = LinkTable::new(config.default_link.clone());
-        SingleSim {
-            config,
-            clock: Instant::ZERO,
-            started: false,
-            procs: BTreeMap::new(),
-            links,
-            last_arrival: FastMap::default(),
-            link_busy_until: FastMap::default(),
-            queue,
-            rng,
-            node_rngs: FastMap::default(),
-            sched_counts: FastMap::default(),
-            timer_generation: FastMap::default(),
-            tracers: FastMap::default(),
-            metrics: NetMetrics::new(),
-            trace: TraceBuf::new(),
-            action_buf: Vec::new(),
-            run_buf: Vec::new(),
-            events_processed: 0,
-            peak_queue_len: 0,
-        }
-    }
-
-    pub(crate) fn add_process(
-        &mut self,
-        id: PartId,
-        process: Box<dyn Process>,
-    ) -> Result<(), SimError> {
-        if self.procs.contains_key(&id) {
-            return Err(SimError::DuplicateNode(id));
-        }
-        // Each node gets its own random stream, derived from the seed and
-        // the node id only. Application-level draws (workload choices) are
-        // therefore independent of network-level draws (jitter, loss) and
-        // of other nodes — the same workload unfolds identically over any
-        // protocol or platform.
-        self.node_rngs
-            .insert(id, DeterministicRng::new(node_seed(self.config.seed(), id)));
-        self.procs.insert(id, process);
-        Ok(())
-    }
-
-    pub(crate) fn now(&self) -> Instant {
-        self.clock
-    }
-
-    fn schedule(&mut self, origin: PartId, at: Instant, kind: EventKind) {
-        let count = self.sched_counts.entry(origin).or_insert(0);
-        *count += 1;
-        let key = provenance_key(self.clock, origin, *count);
-        self.queue.push(Scheduled { at, key, kind });
-    }
-
-    fn apply_actions(&mut self, node: PartId, actions: &mut Vec<Action>) {
-        for action in actions.drain(..) {
-            match action {
-                Action::Send {
-                    to,
-                    payload,
-                    ctx,
-                    retransmit,
-                } => {
-                    self.metrics.record_send(node, payload.len());
-                    svckit_obs::obs_count!("net.sends");
-                    if !self.procs.contains_key(&to) {
-                        self.metrics.record_undeliverable();
-                        svckit_obs::obs_count!("net.undeliverable");
-                        continue;
-                    }
-                    // Copy the link's scalar parameters out instead of
-                    // cloning the whole `LinkConfig` per send.
-                    let link = self.links.link_for(node, to);
-                    let loss = link.loss();
-                    let duplicate_p = link.duplicate();
-                    let latency = link.latency();
-                    let jitter_bound = link.jitter().as_micros() + 1;
-                    let ordered = link.is_ordered();
-                    let transmission = link.transmission_time(payload.len());
-                    if self.rng.coin(loss) {
-                        self.metrics.record_drop();
-                        svckit_obs::obs_count!("net.drops");
-                        match ctx {
-                            // Parent at the trace root, not the carried
-                            // span: a retransmitted frame keeps its
-                            // originating send's context, whose delivery
-                            // span closed long before the resend.
-                            Some(t) => svckit_obs::obs_event!(
-                                "net.drop",
-                                "net",
-                                to.raw(),
-                                self.clock.as_micros(),
-                                t.trace_id,
-                                0u64,
-                                t.parent_id
-                            ),
-                            None => svckit_obs::obs_event!(
-                                "net.drop",
-                                "net",
-                                to.raw(),
-                                self.clock.as_micros()
-                            ),
-                        }
-                        continue;
-                    }
-                    let duplicate = self.rng.coin(duplicate_p);
-                    let copies = if duplicate { 2 } else { 1 };
-                    if duplicate {
-                        self.metrics.record_duplicate();
-                        svckit_obs::obs_count!("net.duplicates");
-                    }
-                    // Serialization: a bandwidth-limited link is occupied
-                    // for the message's transmission time; back-to-back
-                    // sends queue behind it.
-                    let mut depart = self.clock;
-                    if transmission > Duration::ZERO {
-                        let busy = self
-                            .link_busy_until
-                            .entry((node, to))
-                            .or_insert(Instant::ZERO);
-                        if depart < *busy {
-                            depart = *busy;
-                        }
-                        depart += transmission;
-                        *busy = depart;
-                    }
-                    // Time spent queued behind the link (serialization /
-                    // bandwidth backlog) is its own attributable segment.
-                    if let Some(t) = ctx {
-                        if depart > self.clock {
-                            let qid = self.tracers.entry(node).or_default().mint(node);
-                            svckit_obs::obs_span!(
-                                svckit_obs::trace::SPAN_QUEUE_WAIT,
-                                "net",
-                                node.raw(),
-                                0u64,
-                                self.clock.as_micros(),
-                                depart.as_micros(),
-                                t.trace_id,
-                                qid,
-                                t.parent_id
-                            );
-                        }
-                    }
-                    let payload_len = payload.len();
-                    let mut payload = Some(payload);
-                    for copy in 0..copies {
-                        let jitter = Duration::from_micros(self.rng.next_below(jitter_bound));
-                        let mut at = depart + latency + jitter;
-                        if ordered {
-                            let last = self.last_arrival.entry((node, to)).or_insert(Instant::ZERO);
-                            if at < *last {
-                                at = *last;
-                            }
-                            *last = at;
-                        }
-                        // Transit = serialization queueing + transmission +
-                        // propagation + jitter, all in virtual time.
-                        svckit_obs::obs_link!(
-                            node.raw(),
-                            to.raw(),
-                            payload_len,
-                            at.saturating_since(self.clock).as_micros()
-                        );
-                        let deliver_ctx = match ctx {
-                            Some(t) => {
-                                // Each copy gets its own transit span, so
-                                // duplicated deliveries stay distinguishable
-                                // in the flame graph.
-                                let sid = self.tracers.entry(node).or_default().mint(node);
-                                let span_name = if retransmit {
-                                    svckit_obs::trace::SPAN_RETRANSMIT
-                                } else {
-                                    svckit_obs::trace::SPAN_TRANSIT
-                                };
-                                svckit_obs::obs_span!(
-                                    span_name,
-                                    "net",
-                                    to.raw(),
-                                    node.raw(),
-                                    depart.as_micros(),
-                                    at.as_micros(),
-                                    t.trace_id,
-                                    sid,
-                                    t.parent_id
-                                );
-                                Some(t.hop(sid))
-                            }
-                            None => {
-                                svckit_obs::obs_span!(
-                                    "net.transit",
-                                    "net",
-                                    to.raw(),
-                                    self.clock.as_micros(),
-                                    at.as_micros()
-                                );
-                                None
-                            }
-                        };
-                        // The last copy takes ownership: un-duplicated sends
-                        // (the overwhelmingly common case) never touch the
-                        // payload's reference count at all.
-                        let payload = if copy + 1 == copies {
-                            payload.take().expect("one payload per copy loop")
-                        } else {
-                            Payload::clone(payload.as_ref().expect("clone before the last copy"))
-                        };
-                        self.schedule(
-                            node,
-                            at,
-                            EventKind::Deliver {
-                                to,
-                                from: node,
-                                payload,
-                                ctx: deliver_ctx,
-                            },
-                        );
-                    }
-                }
-                Action::SetTimer { delay, id, ctx } => {
-                    let generation = self
-                        .timer_generation
-                        .entry(node)
-                        .or_default()
-                        .entry(id)
-                        .and_modify(|g| *g += 1)
-                        .or_insert(1);
-                    let generation = *generation;
-                    self.schedule(
-                        node,
-                        self.clock + delay,
-                        EventKind::Timer {
-                            node,
-                            id,
-                            generation,
-                            ctx,
-                        },
-                    );
-                }
-                Action::CancelTimer { id } => {
-                    // Bumping the generation invalidates any pending firing.
-                    self.timer_generation
-                        .entry(node)
-                        .or_default()
-                        .entry(id)
-                        .and_modify(|g| *g += 1)
-                        .or_insert(1);
-                }
-            }
-        }
-    }
-
-    fn dispatch<F>(&mut self, node: PartId, trace_ctx: Option<TraceCtx>, call: F)
-    where
-        F: FnOnce(&mut dyn Process, &mut Context<'_>),
-    {
-        let mut actions = std::mem::take(&mut self.action_buf);
-        if let Some(process) = self.procs.get_mut(&node) {
-            let rng = self
-                .node_rngs
-                .get_mut(&node)
-                .expect("node rng created with the process");
-            let mut ctx = Context {
-                now: self.clock,
-                id: node,
-                actions: &mut actions,
-                rng,
-                trace: TraceDest::Single(&mut self.trace),
-                cur_trace: trace_ctx,
-                tracer: self.tracers.entry(node).or_default(),
-            };
-            call(process.as_mut(), &mut ctx);
-        }
-        self.apply_actions(node, &mut actions);
-        // Hand the (now empty) buffer back for the next dispatch, keeping
-        // its capacity.
-        self.action_buf = actions;
-    }
-
-    fn start_if_needed(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        let ids: Vec<PartId> = self.procs.keys().copied().collect();
-        for id in ids {
-            self.dispatch(id, None, |p, ctx| p.on_start(ctx));
-        }
-    }
-
-    /// Dispatches one popped event. The queue-depth sample is taken by the
-    /// caller once per batch; everything else here is per event.
-    fn dispatch_event(&mut self, event: Scheduled) {
-        debug_assert!(event.at >= self.clock, "time went backwards");
-        self.clock = event.at;
-        self.events_processed += 1;
-        svckit_obs::obs_count!("net.events");
-        match event.kind {
-            EventKind::Deliver {
-                to,
-                from,
-                payload,
-                ctx,
-            } => {
-                self.metrics.record_delivery(payload.len());
-                svckit_obs::obs_count!("net.deliveries");
-                svckit_obs::obs_count!("net.delivered_bytes", payload.len());
-                self.dispatch(to, ctx, |p, ctx| p.on_message(ctx, from, payload));
-            }
-            EventKind::Timer {
-                node,
-                id,
-                generation,
-                ctx,
-            } => {
-                let live = self
-                    .timer_generation
-                    .get(&node)
-                    .and_then(|timers| timers.get(&id));
-                if live == Some(&generation) {
-                    svckit_obs::obs_count!("net.timer_fires");
-                    self.dispatch(node, ctx, |p, ctx| p.on_timer(ctx, id));
-                } else {
-                    svckit_obs::obs_count!("net.timer_stale");
-                }
-            }
-        }
-    }
-
-    pub(crate) fn run_to_quiescence(
-        &mut self,
-        max_elapsed: Duration,
-    ) -> Result<SimReport, SimError> {
-        if self.procs.is_empty() {
-            return Err(SimError::NoProcesses);
-        }
-        let deadline = self.clock + max_elapsed;
-        self.start_if_needed();
-        let mut quiescent = true;
-        let mut run = std::mem::take(&mut self.run_buf);
-        loop {
-            // Batch dispatch: pull the whole same-instant, same-target run
-            // in one queue operation and pay the bookkeeping (depth
-            // sample, watermark) once. The events still dispatch one by
-            // one, in exactly the order repeated pops would yield, because
-            // an event's actions may cancel or re-arm timers later in the
-            // same batch.
-            self.queue.pop_run(&mut run);
-            if run.is_empty() {
-                break;
-            }
-            self.peak_queue_len = self.peak_queue_len.max(self.queue.len() + run.len());
-            if run[0].at > deadline {
-                // The whole run shares one firing instant, so it goes back
-                // wholesale.
-                for event in run.drain(..) {
-                    self.queue.push(event);
-                }
-                quiescent = false;
-                break;
-            }
-            svckit_obs::obs_record!("net.queue_depth", self.queue.len());
-            for event in run.drain(..) {
-                self.dispatch_event(event);
-            }
-        }
-        run.clear();
-        self.run_buf = run;
-        if quiescent {
-            // No pending events: clock stays at the last event time.
-        } else {
-            self.clock = deadline;
-        }
-        Ok(SimReport {
-            end_time: self.clock,
-            quiescent,
-            metrics: self.metrics.clone(),
-            trace: self.trace.snapshot(),
-        })
-    }
-
-    pub(crate) fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    pub(crate) fn peak_queue_len(&self) -> usize {
-        self.peak_queue_len
-    }
-}
-
 /// A deterministic discrete-event network simulator.
 ///
-/// Routes to one of two engines chosen by [`SimConfig::shards`]: the
-/// single-threaded engine (`shards <= 1`, the exact historical code
-/// path), or the conservative-lookahead sharded engine (`shards >= 2`,
-/// one scoped thread per shard — see [`crate::shard`] for the
-/// synchronization protocol and the determinism guarantees).
+/// The nodes live on [`SimConfig::shards`] dispatch cores (see
+/// [`crate::shard`]), all running the same link model, timers and
+/// dispatch. With `shards <= 1` one core owns every node and runs on the
+/// caller's thread; with `shards >= 2` the cores run under the
+/// conservative-lookahead windowed runner, one scoped thread each — see
+/// [`crate::shard`] for the synchronization protocol and the determinism
+/// guarantees.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
 pub struct Simulator {
-    inner: EngineImpl,
-}
-
-enum EngineImpl {
-    Single(Box<SingleSim>),
-    Sharded(Box<crate::shard::ShardedSim>),
+    seed: u64,
+    clock: Instant,
+    started: bool,
+    links: LinkTable,
+    /// Node → owning shard. Also the authority on which nodes exist (the
+    /// undeliverable check).
+    registry: FastMap<PartId, u32>,
+    /// Processes registered before the first run of a windowed
+    /// simulation; node → shard binding happens once, when the full
+    /// population is known.
+    staged: BTreeMap<PartId, Box<dyn Process>>,
+    shards: Vec<Shard>,
+    /// The merged trace of the windowed engine. The serial shard records
+    /// into its own merged buffer directly (see [`TraceSink`]).
+    merged: TraceBuf,
 }
 
 impl fmt::Debug for Simulator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = f.debug_struct("Simulator");
-        match &self.inner {
-            EngineImpl::Single(sim) => s
-                .field("clock", &sim.clock)
-                .field("processes", &sim.procs.len())
-                .field("queued_events", &sim.queue.len()),
-            EngineImpl::Sharded(sim) => s
-                .field("clock", &sim.now())
-                .field("processes", &sim.process_count())
-                .field("shards", &sim.shard_count()),
-        }
-        .finish_non_exhaustive()
+        f.debug_struct("Simulator")
+            .field("clock", &self.clock)
+            .field("processes", &(self.registry.len() + self.staged.len()))
+            .field(
+                "queued_events",
+                &self.shards.iter().map(|s| s.queue.len()).sum::<usize>(),
+            )
+            .field("shards", &self.shards.len())
+            .finish_non_exhaustive()
     }
 }
 
 impl Simulator {
     /// Creates a simulator from a configuration.
     pub fn new(config: SimConfig) -> Self {
-        let inner = if config.shard_count() <= 1 {
-            EngineImpl::Single(Box::new(SingleSim::new(config)))
-        } else {
-            EngineImpl::Sharded(Box::new(crate::shard::ShardedSim::new(config)))
-        };
-        Simulator { inner }
+        let shards = (0..config.shard_count())
+            .map(|index| Shard::new(index, &config))
+            .collect();
+        Simulator {
+            seed: config.seed(),
+            clock: Instant::ZERO,
+            started: false,
+            links: LinkTable::new(config.default_link),
+            registry: FastMap::default(),
+            staged: BTreeMap::new(),
+            shards,
+            merged: TraceBuf::new(),
+        }
     }
 
     /// Registers a process at node `id`.
@@ -1231,26 +795,34 @@ impl Simulator {
     ///
     /// Returns [`SimError::DuplicateNode`] when `id` is already taken.
     pub fn add_process(&mut self, id: PartId, process: Box<dyn Process>) -> Result<(), SimError> {
-        match &mut self.inner {
-            EngineImpl::Single(sim) => sim.add_process(id, process),
-            EngineImpl::Sharded(sim) => sim.add_process(id, process),
+        if self.registry.contains_key(&id) || self.staged.contains_key(&id) {
+            return Err(SimError::DuplicateNode(id));
         }
+        if self.started || self.shards.len() == 1 {
+            // A lone shard takes every node as it comes. A late
+            // registration (after the first run) is bound round-robin and,
+            // on either engine, gets no `on_start`.
+            let shard = (self.registry.len() % self.shards.len()) as u32;
+            self.bind(id, process, shard);
+        } else {
+            self.staged.insert(id, process);
+        }
+        Ok(())
+    }
+
+    fn bind(&mut self, id: PartId, process: Box<dyn Process>, shard: u32) {
+        self.registry.insert(id, shard);
+        self.shards[shard as usize].bind(self.seed, id, process);
     }
 
     /// Configures the directed link `from → to`.
     pub fn set_link(&mut self, from: PartId, to: PartId, link: LinkConfig) {
-        match &mut self.inner {
-            EngineImpl::Single(sim) => sim.links.set(from, to, link),
-            EngineImpl::Sharded(sim) => sim.links_mut().set(from, to, link),
-        }
+        self.links.set(from, to, link);
     }
 
     /// Configures both directions between `a` and `b`.
     pub fn set_link_symmetric(&mut self, a: PartId, b: PartId, link: LinkConfig) {
-        match &mut self.inner {
-            EngineImpl::Single(sim) => sim.links.set_symmetric(a, b, link),
-            EngineImpl::Sharded(sim) => sim.links_mut().set_symmetric(a, b, link),
-        }
+        self.links.set_symmetric(a, b, link);
     }
 
     /// Partitions `a` from `b`: every message between them (both
@@ -1260,26 +832,53 @@ impl Simulator {
     /// Partitioning an already-partitioned pair is a no-op, so the saved
     /// pre-partition configuration survives repeated calls.
     pub fn partition(&mut self, a: PartId, b: PartId) {
-        match &mut self.inner {
-            EngineImpl::Single(sim) => sim.links.partition(a, b),
-            EngineImpl::Sharded(sim) => sim.links_mut().partition(a, b),
-        }
+        self.links.partition(a, b);
     }
 
     /// Heals a partition created by [`Simulator::partition`], restoring the
     /// previous link configuration (explicit or default).
     pub fn heal(&mut self, a: PartId, b: PartId) {
-        match &mut self.inner {
-            EngineImpl::Single(sim) => sim.links.heal(a, b),
-            EngineImpl::Sharded(sim) => sim.links_mut().heal(a, b),
-        }
+        self.links.heal(a, b);
     }
 
     /// The current simulated time.
     pub fn now(&self) -> Instant {
-        match &self.inner {
-            EngineImpl::Single(sim) => sim.now(),
-            EngineImpl::Sharded(sim) => sim.now(),
+        self.clock
+    }
+
+    /// Binds staged processes to shards (sorted node order, round-robin)
+    /// and runs every `on_start` serially in ascending node order, on
+    /// either engine, so startup actions interleave identically.
+    fn start_if_needed(&mut self) {
+        if self.started {
+            return;
+        }
+        self.started = true;
+        let count = self.shards.len() as u32;
+        for (i, (id, process)) in std::mem::take(&mut self.staged).into_iter().enumerate() {
+            self.bind(id, process, i as u32 % count);
+        }
+        let mut order: Vec<(PartId, u32)> = self.registry.iter().map(|(&id, &s)| (id, s)).collect();
+        order.sort_unstable();
+        for (id, shard) in order {
+            let shard = &mut self.shards[shard as usize];
+            // Anchor start-phase trace records at (t=0, node, 0) so the
+            // windowed merge reproduces the node-order startup.
+            shard.dispatch(
+                id,
+                Instant::ZERO,
+                PHASE_START,
+                provenance_key(Instant::ZERO, id, 0),
+                None,
+                &self.registry,
+                &self.links,
+                |p, ctx| p.on_start(ctx),
+            );
+            // Startup actions may target any shard; route them now, while
+            // everything is still single-threaded.
+            for (target, event) in std::mem::take(&mut shard.outgoing) {
+                self.shards[target as usize].queue.push(event);
+            }
         }
     }
 
@@ -1295,28 +894,77 @@ impl Simulator {
     /// [`SimError::ZeroLookahead`] when the sharded engine is selected but
     /// some link latency is zero.
     pub fn run_to_quiescence(&mut self, max_elapsed: Duration) -> Result<SimReport, SimError> {
-        match &mut self.inner {
-            EngineImpl::Single(sim) => sim.run_to_quiescence(max_elapsed),
-            EngineImpl::Sharded(sim) => sim.run_to_quiescence(max_elapsed),
+        if self.registry.is_empty() && self.staged.is_empty() {
+            return Err(SimError::NoProcesses);
         }
+        let windowed = self.shards.len() > 1;
+        let lookahead = if windowed {
+            self.links.min_latency()
+        } else {
+            Duration::ZERO
+        };
+        if windowed && lookahead == Duration::ZERO {
+            return Err(SimError::ZeroLookahead);
+        }
+        self.start_if_needed();
+        let deadline = self.clock + max_elapsed;
+        let quiescent = if let [shard] = self.shards.as_mut_slice() {
+            shard.run_serial(deadline, &self.registry, &self.links)
+        } else {
+            crate::shard::run_windowed(
+                &mut self.shards,
+                &self.registry,
+                &self.links,
+                lookahead,
+                deadline,
+                &mut self.merged,
+            );
+            self.shards.iter().all(|s| s.queue.is_empty())
+        };
+        self.clock = if quiescent {
+            // No pending events: the clock stays at the last event time.
+            self.shards
+                .iter()
+                .map(|s| s.clock)
+                .fold(self.clock, Instant::max)
+        } else {
+            deadline
+        };
+        let (metrics, trace) = match self.shards.as_mut_slice() {
+            [Shard {
+                metrics,
+                trace: TraceSink::Merged(buf),
+                ..
+            }] => (metrics.clone(), buf.snapshot()),
+            shards => {
+                let mut metrics = NetMetrics::new();
+                for shard in shards.iter() {
+                    metrics.absorb(&shard.metrics);
+                }
+                (metrics, self.merged.snapshot())
+            }
+        };
+        Ok(SimReport {
+            end_time: self.clock,
+            quiescent,
+            metrics,
+            trace,
+        })
     }
 
     /// Total number of events dispatched so far, across all runs (and all
     /// shards). Engine bookkeeping, deliberately not part of [`SimReport`].
     pub fn events_processed(&self) -> u64 {
-        match &self.inner {
-            EngineImpl::Single(sim) => sim.events_processed(),
-            EngineImpl::Sharded(sim) => sim.events_processed(),
-        }
+        self.shards.iter().map(|s| s.events_processed).sum()
     }
 
-    /// High-water mark of pending events (live timers plus in-flight
-    /// messages; summed over shards for the sharded engine).
+    /// Peak number of pending events (live timers plus in-flight
+    /// messages). On the serial engine this is the high-water mark of the
+    /// one event queue. On the sharded engine it is the *sum of the
+    /// per-shard peaks*, which may have occurred at different instants,
+    /// not a global high-water mark.
     pub fn peak_queue_len(&self) -> usize {
-        match &self.inner {
-            EngineImpl::Single(sim) => sim.peak_queue_len(),
-            EngineImpl::Sharded(sim) => sim.peak_queue_len(),
-        }
+        self.shards.iter().map(|s| s.peak_queue_len).sum()
     }
 }
 

@@ -524,32 +524,45 @@ pub fn flag_value(args: &[String], name: &str) -> Option<String> {
 
 /// [`flag_value`] parsed as a number, with a default.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics (with a usage message) when the value is present but not a
-/// number.
-pub fn flag_usize(args: &[String], name: &str, default: usize) -> usize {
+/// Returns a usage error when the value is present but not a number.
+pub fn flag_usize(args: &[String], name: &str, default: usize) -> Result<usize, String> {
     match flag_value(args, name) {
-        None => default,
+        None => Ok(default),
         Some(v) => v
             .parse()
-            .unwrap_or_else(|_| panic!("--{name} expects a number, got {v:?}")),
+            .map_err(|_| format!("--{name} expects a number, got {v:?}")),
     }
 }
 
 /// Parses the shared `--shards N` flag; `None` when absent, leaving each
-/// spec/variation to its own default (the sequential engine).
+/// spec/variation to its own default (the serial engine).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics (with a usage message) when the value is not a positive number.
-pub fn shards_flag(args: &[String]) -> Option<u32> {
-    let value = flag_value(args, "shards")?;
-    let shards: u32 = value
-        .parse()
-        .unwrap_or_else(|_| panic!("--shards expects a number, got {value:?}"));
-    assert!(shards >= 1, "--shards expects a count >= 1");
-    Some(shards)
+/// Returns a usage error when the value is not a count from 1 to
+/// `u32::MAX`.
+pub fn shards_flag(args: &[String]) -> Result<Option<u32>, String> {
+    let Some(value) = flag_value(args, "shards") else {
+        return Ok(None);
+    };
+    match value.parse::<u32>() {
+        Ok(shards) if shards >= 1 => Ok(Some(shards)),
+        _ => Err(format!("--shards expects a count >= 1, got {value:?}")),
+    }
+}
+
+/// Reports a command-line usage error — `error: <err>`, then `usage`
+/// unless it is empty — and exits with status 2, the sweep binaries'
+/// usage-error status.
+pub fn usage_exit(err: &str, usage: &str) -> ! {
+    if usage.is_empty() {
+        eprintln!("error: {err}");
+    } else {
+        eprintln!("error: {err}\n\n{usage}");
+    }
+    std::process::exit(2)
 }
 
 /// Checks that every argument is a flag the binary knows: one of the
@@ -596,8 +609,8 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert_eq!(flag_value(&args, "out").as_deref(), Some("x.json"));
-        assert_eq!(flag_usize(&args, "threads", 1), 4);
-        assert_eq!(flag_usize(&args, "seeds", 8), 8);
+        assert_eq!(flag_usize(&args, "threads", 1), Ok(4));
+        assert_eq!(flag_usize(&args, "seeds", 8), Ok(8));
         assert_eq!(flag_value(&args, "missing"), None);
     }
 
@@ -623,6 +636,29 @@ mod tests {
             check(&["--threads"]),
             Err("--threads needs a value".to_owned())
         );
+    }
+
+    #[test]
+    fn bad_flag_values_are_usage_errors() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            flag_usize(&args(&["--users", "x"]), "users", 3),
+            Err("--users expects a number, got \"x\"".to_owned())
+        );
+        assert_eq!(
+            flag_usize(&args(&["--threads", "-1"]), "threads", 1),
+            Err("--threads expects a number, got \"-1\"".to_owned())
+        );
+        assert_eq!(shards_flag(&args(&[])), Ok(None));
+        assert_eq!(shards_flag(&args(&["--shards", "1"])), Ok(Some(1)));
+        assert_eq!(shards_flag(&args(&["--shards", "4"])), Ok(Some(4)));
+        for bad in ["0", "x", "-2", "4294967296"] {
+            assert_eq!(
+                shards_flag(&args(&["--shards", bad])),
+                Err(format!("--shards expects a count >= 1, got {bad:?}")),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

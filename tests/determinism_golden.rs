@@ -99,7 +99,9 @@ fn solution_digest(solution: Solution, seed: u64) -> u64 {
 /// below goes through this, so each digest check doubles as a
 /// backend-equivalence check. Solutions run on the default wheel only:
 /// the backend is a `SimConfig` setting the harnesses do not expose.
-fn digest_on_both_backends(digest: impl Fn(QueueBackend) -> u64) -> u64 {
+fn digest_on_both_backends<T: PartialEq + std::fmt::Debug>(
+    digest: impl Fn(QueueBackend) -> T,
+) -> T {
     let wheel = digest(QueueBackend::Wheel);
     let heap = digest(QueueBackend::Heap);
     assert_eq!(
@@ -156,6 +158,114 @@ fn protocol_solution_matches_golden_digest() {
     assert_eq!(
         solution_digest(Solution::ProtoCallback, 7),
         GOLDEN_PROTO_CALLBACK_SEED7
+    );
+}
+
+/// Drives every branch of the serial send path from one timer: a
+/// zero-jitter lossy + duplicating datagram to node 2 (the default link),
+/// a back-to-back burst over the bandwidth-limited ordered link to node
+/// 3, a send to a node that never exists, and a send to node 4, which is
+/// only registered after the first run slice.
+struct SendPathSource {
+    rounds: u32,
+}
+
+impl Process for SendPathSource {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.set_timer(Duration::from_millis(1), TimerId(1));
+    }
+    fn on_message(&mut self, ctx: &mut Context<'_>, from: PartId, payload: Payload) {
+        ctx.record_primitive(
+            Sap::new("probe", ctx.id()),
+            "recv",
+            vec![Value::Id(payload.len() as u64), Value::Id(from.raw())],
+        );
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: TimerId) {
+        let round = self.rounds as u8;
+        ctx.send(PartId::new(2), vec![round; 3]);
+        for i in 0..3u8 {
+            ctx.send(PartId::new(3), vec![i; 400]);
+        }
+        ctx.send(PartId::new(99), b"void".to_vec());
+        ctx.send(PartId::new(4), vec![round]);
+        self.rounds -= 1;
+        if self.rounds > 0 {
+            ctx.set_timer(Duration::from_millis(1), TimerId(1));
+        }
+    }
+}
+
+/// Records every arrival and echoes it back. `on_start` records too, so
+/// a start handler run for a process added after the first slice would
+/// show in the trace.
+struct Echo;
+
+impl Process for Echo {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.record_primitive(Sap::new("probe", ctx.id()), "start", vec![]);
+    }
+    fn on_message(&mut self, ctx: &mut Context<'_>, from: PartId, payload: Payload) {
+        ctx.record_primitive(
+            Sap::new("probe", ctx.id()),
+            "recv",
+            vec![Value::Id(payload.len() as u64), Value::Id(from.raw())],
+        );
+        ctx.send(from, payload);
+    }
+}
+
+/// The send-path scenario in three slices — a healthy one, one with
+/// node 4 added and nodes 1 and 2 partitioned, and a healed one run to
+/// quiescence. Returns the digest of all three reports together with the
+/// engine's event count and peak queue length.
+fn send_path_run(seed: u64, backend: QueueBackend) -> (u64, u64, usize) {
+    let lossy =
+        LinkConfig::lossy(Duration::from_millis(2), Duration::ZERO, 0.3).with_duplication(0.25);
+    let mut sim = Simulator::new(
+        SimConfig::new(seed)
+            .default_link(lossy)
+            .queue_backend(backend),
+    );
+    sim.set_link_symmetric(
+        PartId::new(1),
+        PartId::new(3),
+        LinkConfig::perfect(Duration::from_millis(1)).with_bandwidth(100_000),
+    );
+    sim.add_process(PartId::new(1), Box::new(SendPathSource { rounds: 40 }))
+        .unwrap();
+    sim.add_process(PartId::new(2), Box::new(Echo)).unwrap();
+    sim.add_process(PartId::new(3), Box::new(Echo)).unwrap();
+    let mut reports = String::new();
+    let first = sim.run_to_quiescence(Duration::from_millis(20)).unwrap();
+    assert!(!first.is_quiescent());
+    reports.push_str(&format!("{first:?}"));
+    sim.add_process(PartId::new(4), Box::new(Echo)).unwrap();
+    sim.partition(PartId::new(1), PartId::new(2));
+    reports.push_str(&format!(
+        "{:?}",
+        sim.run_to_quiescence(Duration::from_millis(20)).unwrap()
+    ));
+    sim.heal(PartId::new(1), PartId::new(2));
+    let last = sim.run_to_quiescence(Duration::from_secs(10)).unwrap();
+    assert!(last.is_quiescent());
+    reports.push_str(&format!("{last:?}"));
+    (
+        fnv1a(reports.as_bytes()),
+        sim.events_processed(),
+        sim.peak_queue_len(),
+    )
+}
+
+#[test]
+fn serial_send_path_matches_golden() {
+    // Captured on the serial engine before the serial and sharded engines
+    // shared one dispatch core; pins the global link stream's draw order
+    // (one jitter draw per copy even at zero jitter), bandwidth queueing,
+    // undeliverable sends, late registration and partition/heal.
+    assert_eq!(
+        digest_on_both_backends(|b| send_path_run(42, b)),
+        GOLDEN_SEND_PATH_SEED42
     );
 }
 
@@ -278,6 +388,10 @@ fn analyzer_reports_match_golden_digests_across_backends() {
 }
 
 const GOLDEN_NETSIM_SEED42: u64 = 13_274_634_582_242_808_967;
+// Serial send-path golden: (report digest, events processed, peak queue
+// length), captured before the serial engine became the shard core run
+// inline. See CHANGELOG 0.14.0.
+const GOLDEN_SEND_PATH_SEED42: (u64, u64, usize) = (8_401_057_291_842_286_031, 366, 116);
 // Sharded-engine goldens: captured on the sequential engine
 // (`shards = 1`) over a deterministic link; every shard count must
 // reproduce them. See CHANGELOG 0.7.0.
